@@ -31,6 +31,7 @@
 #include "ts/dtw.h"
 #include "ts/lb_keogh.h"
 #include "ts/time_series.h"
+#include "util/error.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -141,6 +142,41 @@ gbrtBenchData(std::size_t features, int rows)
     }
     return data;
 }
+
+/**
+ * A private mkdtemp directory under the system temp dir, removed with
+ * its contents when the benchmark ends. Each benchmark run gets its
+ * own, so two concurrent runs never share or delete each other's files.
+ */
+class BenchTempDir
+{
+  public:
+    BenchTempDir()
+    {
+        std::string pattern = (std::filesystem::temp_directory_path() /
+                               "cminer_bench_XXXXXX")
+                                  .string();
+        if (::mkdtemp(pattern.data()) == nullptr)
+            util::fatal("perf_kernels: mkdtemp failed for " + pattern);
+        dir_ = pattern;
+    }
+    ~BenchTempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir_, ec);
+    }
+    BenchTempDir(const BenchTempDir &) = delete;
+    BenchTempDir &operator=(const BenchTempDir &) = delete;
+
+    /** Path of an entry inside the directory. */
+    std::string path(const std::string &name) const
+    {
+        return (dir_ / name).string();
+    }
+
+  private:
+    std::filesystem::path dir_;
+};
 
 std::vector<double>
 randomSeries(std::size_t n, std::uint64_t seed)
@@ -267,7 +303,8 @@ BM_ModelSaveLoad(benchmark::State &state)
     params.treeCount = static_cast<std::size_t>(state.range(0));
     ml::Gbrt model(params);
     model.fit(data, rng);
-    const std::string path = "/tmp/cminer_bench_model.ckpt";
+    const BenchTempDir tmp;
+    const std::string path = tmp.path("model.ckpt");
     const auto before = AllocCounters::now();
     for (auto _ : state) {
         if (!ml::saveModel(model, path).ok())
@@ -281,7 +318,6 @@ BM_ModelSaveLoad(benchmark::State &state)
     std::error_code ec;
     state.counters["file_kb"] = static_cast<double>(
         std::filesystem::file_size(path, ec)) / 1024.0;
-    std::filesystem::remove(path, ec);
 }
 BENCHMARK(BM_ModelSaveLoad)->Arg(50)->Arg(150)
     ->Unit(benchmark::kMillisecond);
@@ -296,7 +332,8 @@ BM_PredictThroughput(benchmark::State &state)
     params.treeCount = 50;
     ml::Gbrt trained(params);
     trained.fit(data, rng);
-    const std::string path = "/tmp/cminer_bench_predict.ckpt";
+    const BenchTempDir tmp;
+    const std::string path = tmp.path("predict.ckpt");
     if (!ml::saveModel(trained, path).ok()) {
         state.SkipWithError("save failed");
         return;
@@ -316,8 +353,6 @@ BM_PredictThroughput(benchmark::State &state)
                             static_cast<std::int64_t>(view.rowCount()));
     state.counters["threads"] =
         static_cast<double>(bench::activeThreads());
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
 }
 BENCHMARK(BM_PredictThroughput)->UseRealTime();
 
@@ -783,6 +818,16 @@ procStatusKb(const char *key)
     return 0;
 }
 
+/**
+ * Reset the kernel's peak-RSS mark (VmHWM) to the current resident set,
+ * so a later VmHWM read is this benchmark's peak, not the process's.
+ */
+void
+resetPeakRss()
+{
+    std::ofstream("/proc/self/clear_refs") << "5";
+}
+
 /** The fleet both store benchmarks ingest: `runs` windows, 8 events. */
 std::vector<std::vector<ts::TimeSeries>>
 storeBenchFleet(std::size_t runs, std::size_t length)
@@ -808,11 +853,13 @@ void
 BM_IngestOutOfCore(benchmark::State &state)
 {
     const bool out_of_core = state.range(0) != 0;
-    const std::string dir = "/tmp/cminer_bench_store_ingest";
+    const BenchTempDir tmp;
+    const std::string dir = tmp.path("store");
     const std::size_t runs = 24;
     const std::size_t length = 4096;
     const auto fleet = storeBenchFleet(runs, length);
 
+    resetPeakRss();
     const auto before = AllocCounters::now();
     for (auto _ : state) {
         state.PauseTiming();
@@ -839,7 +886,6 @@ BM_IngestOutOfCore(benchmark::State &state)
         static_cast<double>(procStatusKb("VmHWM")) / 1024.0;
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * runs * 8 * length * sizeof(double)));
-    std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_IngestOutOfCore)
     ->Arg(0)
@@ -850,8 +896,8 @@ void
 BM_MineFromSegments(benchmark::State &state)
 {
     const bool out_of_core = state.range(0) != 0;
-    const std::string dir = "/tmp/cminer_bench_store_mine";
-    std::filesystem::remove_all(dir);
+    const BenchTempDir tmp;
+    const std::string dir = tmp.path("store");
     const std::size_t runs = 24;
     const std::size_t length = 4096;
     const auto fleet = storeBenchFleet(runs, length);
@@ -891,8 +937,6 @@ BM_MineFromSegments(benchmark::State &state)
         static_cast<double>(procStatusKb("VmRSS")) / 1024.0;
     state.SetBytesProcessed(static_cast<std::int64_t>(
         state.iterations() * runs * 8 * length * sizeof(double)));
-    db.reset();
-    std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_MineFromSegments)
     ->Arg(0)

@@ -19,13 +19,36 @@ using cminer::ml::LinearRegression;
 namespace {
 
 /**
+ * The model's univariate response to one event: its prediction at each
+ * sampled row with the event at its observed value and every other
+ * event held at its mean. These are exactly a pair's "alone" probes
+ * (the partner sits at its mean), so each event's response is probed
+ * once and shared by every pair that names it.
+ */
+std::vector<double>
+univariateResponse(const Gbrt &model, const DatasetView &data,
+                   const std::vector<double> &means,
+                   const std::vector<std::size_t> &rows, std::size_t event)
+{
+    std::vector<double> response;
+    response.reserve(rows.size());
+    std::vector<double> probe = means;
+    for (std::size_t r : rows) {
+        probe[event] = data.value(r, event);
+        response.push_back(model.predict(probe));
+    }
+    return response;
+}
+
+/**
  * Interaction intensity of one event pair (Eq. 12).
  *
  * Model predictions with all other events held at their means while the
  * pair walks through its observed values. The linear model is fit over
- * the pair's *univariate* model responses (each event moved alone), so
- * additive — even nonlinear — per-event effects are fully explainable
- * and the residual isolates genuine two-way interaction.
+ * the pair's *univariate* model responses (each event moved alone:
+ * `alone_a`, `alone_b`, one per sampled row), so additive — even
+ * nonlinear — per-event effects are fully explainable and the residual
+ * isolates genuine two-way interaction.
  *
  * Pure function of read-only inputs (the probe vector is a local copy),
  * safe and deterministic to evaluate for many pairs concurrently.
@@ -34,29 +57,20 @@ double
 pairResidualVariance(const Gbrt &model, const DatasetView &data,
                      const std::vector<double> &means,
                      const std::vector<std::size_t> &rows,
-                     const std::pair<std::string, std::string> &pair)
+                     const std::pair<std::string, std::string> &pair,
+                     std::size_t idx_a, std::size_t idx_b,
+                     const std::vector<double> &alone_a,
+                     const std::vector<double> &alone_b)
 {
-    const auto &[name_a, name_b] = pair;
-    const std::size_t idx_a = data.featureIndex(name_a);
-    const std::size_t idx_b = data.featureIndex(name_b);
-
-    Dataset pair_data({name_a, name_b});
+    Dataset pair_data({pair.first, pair.second});
     std::vector<double> oracle;
     oracle.reserve(rows.size());
     std::vector<double> probe = means;
-    for (std::size_t r : rows) {
-        const double value_a = data.value(r, idx_a);
-        const double value_b = data.value(r, idx_b);
-        probe[idx_a] = value_a;
-        probe[idx_b] = value_b;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        probe[idx_a] = data.value(rows[i], idx_a);
+        probe[idx_b] = data.value(rows[i], idx_b);
         const double joint = model.predict(probe);
-        probe[idx_b] = means[idx_b];
-        const double alone_a = model.predict(probe);
-        probe[idx_a] = means[idx_a];
-        probe[idx_b] = value_b;
-        const double alone_b = model.predict(probe);
-        probe[idx_b] = means[idx_b];
-        pair_data.addRow({alone_a, alone_b}, joint);
+        pair_data.addRow({alone_a[i], alone_b[i]}, joint);
         oracle.push_back(joint);
     }
 
@@ -93,6 +107,26 @@ InteractionRanker::rankPairs(
 {
     CM_ASSERT(model.fitted());
     CM_ASSERT(data.rowCount() >= 8);
+
+    // Resolve each pair to view features; every distinct event among
+    // them gets its univariate response probed once, below.
+    std::vector<std::pair<std::size_t, std::size_t>> features;
+    features.reserve(pairs.size());
+    std::vector<std::size_t> events;
+    for (const auto &[first, second] : pairs) {
+        if (first == second)
+            cminer::util::fatal("InteractionRanker::rankPairs: pair (" +
+                                first + ", " + second +
+                                ") names one event twice");
+        const std::size_t a = data.featureIndex(first);
+        const std::size_t b = data.featureIndex(second);
+        features.emplace_back(a, b);
+        events.push_back(a);
+        events.push_back(b);
+    }
+    std::sort(events.begin(), events.end());
+    events.erase(std::unique(events.begin(), events.end()), events.end());
+
     cminer::util::Span span("interaction");
     span.number("pairs", static_cast<double>(pairs.size()));
     const auto means = data.featureMeans();
@@ -104,17 +138,29 @@ InteractionRanker::rankPairs(
     for (std::size_t r = 0; r < data.rowCount(); r += stride)
         rows.push_back(r);
 
-    // Each pair's probe/fit/residual is independent (the model and the
-    // dataset are only read); variances land in per-pair slots and are
-    // reduced serially in pair order below, so the normalization (Eq.
-    // 13) is bit-identical for any thread count.
+    // Every probe is independent (the model and the dataset are only
+    // read): responses land in per-event slots, variances in per-pair
+    // slots, and the variances are reduced serially in pair order
+    // below, so the normalization (Eq. 13) is bit-identical for any
+    // thread count.
+    std::vector<std::vector<double>> responses(data.featureCount());
+    cminer::util::parallelFor(
+        0, events.size(), 1,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t e = lo; e < hi; ++e)
+                responses[events[e]] = univariateResponse(
+                    model, data, means, rows, events[e]);
+        });
     std::vector<double> variances(pairs.size(), 0.0);
     cminer::util::parallelFor(
         0, pairs.size(), 1,
         [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t p = lo; p < hi; ++p)
-                variances[p] = pairResidualVariance(model, data, means,
-                                                    rows, pairs[p]);
+            for (std::size_t p = lo; p < hi; ++p) {
+                const auto [a, b] = features[p];
+                variances[p] = pairResidualVariance(
+                    model, data, means, rows, pairs[p], a, b,
+                    responses[a], responses[b]);
+            }
         });
 
     InteractionResult result;

@@ -66,12 +66,16 @@ class InteractionRanker
     const InteractionOptions &options() const { return options_; }
 
     /**
-     * Rank explicit feature pairs.
+     * Rank explicit feature pairs. Each distinct event's univariate
+     * response is probed once and shared by every pair naming it, so
+     * a sampled row costs one joint probe per pair plus one probe per
+     * distinct event.
      *
      * @param model fitted performance model (the MAPM)
      * @param data the dataset the model was trained on (supplies the
      *        observed pair values and the feature means)
-     * @param pairs feature-name pairs to evaluate
+     * @param pairs feature-name pairs to evaluate; a pair naming one
+     *        event twice is fatal
      */
     InteractionResult
     rankPairs(const cminer::ml::Gbrt &model,

@@ -1,6 +1,7 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -12,6 +13,9 @@
 namespace cminer::ml {
 
 namespace {
+
+/** Histogram slots per split scan: FeatureBinner caps bins at 255. */
+constexpr std::size_t kMaxHistogramBins = 256;
 
 /** Winning (improvement, bin) of one candidate feature's split scan. */
 struct CandidateBest
@@ -39,8 +43,15 @@ scanCandidate(const FeatureBinner &binner, std::size_t feature,
     const std::size_t bins = binner.binCount(feature);
     if (bins < 2)
         return best;
-    std::vector<double> bin_sum(bins, 0.0);
-    std::vector<std::size_t> bin_count(bins, 0);
+    CM_ASSERT(bins <= kMaxHistogramBins);
+    // Fixed stack histograms: this runs once per candidate per node, so
+    // heap vectors here were two allocations in the fit's hottest loop.
+    std::array<double, kMaxHistogramBins> sum_slots;
+    std::array<std::size_t, kMaxHistogramBins> count_slots;
+    const std::span<double> bin_sum(sum_slots.data(), bins);
+    const std::span<std::size_t> bin_count(count_slots.data(), bins);
+    std::fill(bin_sum.begin(), bin_sum.end(), 0.0);
+    std::fill(bin_count.begin(), bin_count.end(), std::size_t{0});
     const std::span<const std::uint8_t> bin_col =
         binner.binColumn(feature);
     // Order-preserving SIMD histogram fill: bit-identical to the naive
@@ -273,15 +284,10 @@ RegressionTree::grow(const DatasetView &data, const FeatureBinner &binner,
 double
 RegressionTree::predict(std::span<const double> features) const
 {
-    CM_ASSERT(fitted());
-    std::size_t index = 0;
-    while (!nodes_[index].leaf) {
-        const Node &node = nodes_[index];
-        CM_ASSERT(node.feature < features.size());
-        index = features[node.feature] <= node.threshold ? node.left
-                                                         : node.right;
-    }
-    return nodes_[index].value;
+    return walk([features](std::size_t feature) {
+        CM_ASSERT(feature < features.size());
+        return features[feature];
+    });
 }
 
 std::size_t

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ml/dataset_view.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace cminer::util {
@@ -121,6 +122,26 @@ class RegressionTree
     {
         return predict(
             std::span<const double>(features.begin(), features.size()));
+    }
+
+    /**
+     * The one root-to-leaf walk every prediction takes: each visited
+     * node reads its feature's value as `value_of(feature)` and goes
+     * left when it is `<= threshold`. predict() walks a raw vector; the
+     * boosting update walks dataset columns in place, reading only the
+     * cells on the path instead of gathering whole rows.
+     */
+    template <typename ValueOf>
+    double walk(ValueOf &&value_of) const
+    {
+        CM_ASSERT(fitted());
+        std::size_t index = 0;
+        while (!nodes_[index].leaf) {
+            const Node &node = nodes_[index];
+            index = value_of(node.feature) <= node.threshold ? node.left
+                                                            : node.right;
+        }
+        return nodes_[index].value;
     }
 
     /** All splits made while fitting (for importance accounting). */

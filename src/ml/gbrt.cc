@@ -45,6 +45,12 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
             binEdges_[f].push_back(binner.upperEdge(f, b));
     }
 
+    // View feature -> its base column, resolved once for the update.
+    std::vector<std::span<const double>> columns;
+    columns.reserve(data.featureCount());
+    for (std::size_t f = 0; f < data.featureCount(); ++f)
+        columns.push_back(data.base().column(data.baseColumn(f)));
+
     const std::vector<double> targets = data.targets();
     baseline_ = stats::mean(targets);
     std::vector<double> predictions(data.rowCount(), baseline_);
@@ -83,16 +89,18 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
 
         // Each row's update reads only the new tree and writes its own
         // slot, so chunked execution is bit-identical to the serial loop.
-        // Rows are gathered into one reusable buffer per chunk instead
-        // of materializing a vector per row.
+        // The tree walks the base columns in place: a row costs the few
+        // cells on its root-to-leaf path, not a gather of every feature.
         cminer::util::parallelFor(
             0, data.rowCount(), 512,
             [&](std::size_t lo, std::size_t hi) {
-                std::vector<double> row(data.featureCount());
                 for (std::size_t r = lo; r < hi; ++r) {
-                    data.gatherRow(r, row);
+                    const std::size_t base_row = data.baseRow(r);
                     predictions[r] +=
-                        params_.learningRate * tree.predict(row);
+                        params_.learningRate *
+                        tree.walk([&](std::size_t feature) {
+                            return columns[feature][base_row];
+                        });
                 }
             });
         trees_.push_back(std::move(tree));

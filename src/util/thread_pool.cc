@@ -1,13 +1,16 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "util/error.h"
+#include "util/logging.h"
 #include "util/metrics.h"
-#include "util/string_util.h"
 
 namespace cminer::util {
 
@@ -64,16 +67,35 @@ thread_local bool inside_worker = false;
 /** Explicit override from Parallelism::setThreadCount; 0 = automatic. */
 std::atomic<std::size_t> thread_override{0};
 
+/**
+ * CMINER_THREADS as a thread count; 0 when unset or rejected. Only an
+ * integer >= 1 is accepted, the rule `--threads` enforces. A rejected
+ * value is warned about once (until the variable changes) and falls
+ * through to the hardware count.
+ */
 std::size_t
 envThreadCount()
 {
     const char *env = std::getenv("CMINER_THREADS");
     if (env == nullptr || *env == '\0')
         return 0;
-    double parsed = 0.0;
-    if (!parseDouble(env, parsed) || parsed < 1.0)
-        return 0; // unparsable or nonsense: fall through to hardware
-    return static_cast<std::size_t>(parsed);
+    const std::string_view text(env);
+    std::size_t parsed = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (ec == std::errc() && end == text.data() + text.size() &&
+        parsed >= 1)
+        return parsed;
+
+    static std::mutex warned_mutex;
+    static std::string warned;
+    std::lock_guard<std::mutex> lock(warned_mutex);
+    if (text != warned) {
+        warned = text;
+        warn("CMINER_THREADS='" + warned +
+             "' is not a count >= 1; using the hardware thread count");
+    }
+    return 0;
 }
 
 } // namespace

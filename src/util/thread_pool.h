@@ -39,8 +39,9 @@ namespace cminer::util {
  * Process-wide parallelism configuration.
  *
  * Thread-count resolution order: explicit override > CMINER_THREADS
- * environment variable > hardware_concurrency. A count of 1 selects the
- * exact serial path everywhere.
+ * environment variable > hardware_concurrency. CMINER_THREADS must be
+ * an integer >= 1, like `--threads`; any other value is warned about
+ * and ignored. A count of 1 selects the exact serial path everywhere.
  */
 class Parallelism
 {

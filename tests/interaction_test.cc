@@ -2,24 +2,38 @@
  * @file
  * Tests for the interaction ranker: Eq. 12/13 bookkeeping, isolation of
  * genuine two-way interactions from additive nonlinearity, recovery of a
- * planted product term, and behaviour on the full pipeline's MAPM.
+ * planted product term, behaviour on the full pipeline's MAPM, and
+ * bitwise agreement of the shared univariate probes with a
+ * three-probes-per-pair reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/interaction.h"
+#include "ml/dataset_view.h"
 #include "ml/gbrt.h"
+#include "ml/linear_regression.h"
+#include "ml/metrics.h"
+#include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
 using namespace cminer::core;
 using cminer::ml::Dataset;
+using cminer::ml::DatasetView;
 using cminer::ml::Gbrt;
 using cminer::ml::GbrtParams;
+using cminer::util::FatalError;
+using cminer::util::Parallelism;
 using cminer::util::Rng;
 
 /**
@@ -183,6 +197,94 @@ TEST(InteractionRanker, TiedPairsRankInLexicographicOrder)
         {"a", "b"}, {"a", "c"}, {"a", "d"},
         {"b", "c"}, {"b", "d"}, {"c", "d"}};
     EXPECT_EQ(order, expected);
+}
+
+/**
+ * Eq. 12 for one pair the direct way: three model probes per sampled
+ * row (the pair jointly, then each event alone with the other at its
+ * mean), sampling rows as the ranker does. The bitwise reference for
+ * rankPairs, which probes each event's univariate response only once.
+ */
+double
+threeProbeResidualVariance(const Gbrt &model, const Dataset &data,
+                           const std::string &name_a,
+                           const std::string &name_b,
+                           std::size_t max_samples)
+{
+    const DatasetView view(data);
+    const std::vector<double> means = view.featureMeans();
+    const std::size_t idx_a = view.featureIndex(name_a);
+    const std::size_t idx_b = view.featureIndex(name_b);
+    const std::size_t stride =
+        std::max<std::size_t>(1, view.rowCount() / max_samples);
+
+    Dataset pair_data({name_a, name_b});
+    std::vector<double> joints;
+    for (std::size_t r = 0; r < view.rowCount(); r += stride) {
+        std::vector<double> probe = means;
+        probe[idx_a] = view.value(r, idx_a);
+        probe[idx_b] = view.value(r, idx_b);
+        const double joint = model.predict(probe);
+        probe[idx_b] = means[idx_b];
+        const double alone_a = model.predict(probe);
+        probe[idx_a] = means[idx_a];
+        probe[idx_b] = view.value(r, idx_b);
+        const double alone_b = model.predict(probe);
+        pair_data.addRow({alone_a, alone_b}, joint);
+        joints.push_back(joint);
+    }
+    cminer::ml::LinearRegression linear;
+    linear.fit(pair_data);
+    return cminer::ml::residualVariance(joints,
+                                        linear.predictAll(pair_data));
+}
+
+TEST(InteractionRanker, SharedProbesMatchThreeProbeReferenceBitwise)
+{
+    const Dataset data = syntheticData(1.0, 700, 13);
+    const Gbrt model = fitOracle(data, 14);
+    // Overlapping pairs share events, so they share univariate
+    // responses; reversed pairs swap which response is which column.
+    const std::vector<std::pair<std::string, std::string>> pairs = {
+        {"c", "d"}, {"d", "c"}, {"a", "c"}, {"c", "a"},
+        {"b", "e"}, {"e", "a"}, {"d", "b"}};
+    InteractionOptions options;
+    options.maxSamples = 300; // stride 2: the sampled rows matter too
+    const InteractionRanker ranker(options);
+
+    std::map<std::pair<std::string, std::string>, double> expected;
+    for (const auto &[a, b] : pairs)
+        expected[{a, b}] = threeProbeResidualVariance(
+            model, data, a, b, options.maxSamples);
+
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        Parallelism::setThreadCount(threads);
+        const auto result = ranker.rankPairs(model, data, pairs);
+        Parallelism::setThreadCount(0);
+        ASSERT_EQ(result.pairs.size(), pairs.size());
+        for (const auto &pair : result.pairs) {
+            EXPECT_EQ(pair.residualVariance,
+                      expected.at({pair.first, pair.second}))
+                << pair.first << "-" << pair.second << " at " << threads
+                << " threads";
+        }
+    }
+}
+
+TEST(InteractionRanker, PairNamingOneEventTwiceIsRejected)
+{
+    const Dataset data = syntheticData(1.0, 200, 15);
+    const Gbrt model = fitOracle(data, 16);
+    const InteractionRanker ranker;
+    try {
+        ranker.rankPairs(model, data, {{"c", "d"}, {"a", "a"}});
+        FAIL() << "expected a fatal error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("pair (a, a) names one event "
+                                             "twice"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(InteractionResult, TopReturnsPrefix)

@@ -3,8 +3,9 @@
  * Property-style tests for the deterministic thread pool: parallelFor
  * chunk decomposition (empty range, range smaller than grain, grain 1),
  * nested submission, exception propagation from worker tasks, the
- * Parallelism resolution knobs, and a stress test hammering the queue
- * with 10k tasks from 8 submitter threads.
+ * Parallelism resolution knobs (including CMINER_THREADS validation),
+ * and a stress test hammering the queue with 10k tasks from 8 submitter
+ * threads.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -316,6 +320,42 @@ TEST(Parallelism, GlobalPoolResizesWithTheOverride)
     EXPECT_EQ(cminer::util::globalPool().workerCount(), 2u);
     Parallelism::setThreadCount(5);
     EXPECT_EQ(cminer::util::globalPool().workerCount(), 4u);
+}
+
+/** threadCount() under CMINER_THREADS=value, and what it warned. */
+std::pair<std::size_t, std::string>
+threadCountUnderEnv(const char *value)
+{
+    ::setenv("CMINER_THREADS", value, 1);
+    testing::internal::CaptureStderr();
+    const std::size_t count = Parallelism::threadCount();
+    std::string warned = testing::internal::GetCapturedStderr();
+    ::unsetenv("CMINER_THREADS");
+    return {count, warned};
+}
+
+TEST(Parallelism, EnvAcceptsAnIntegerCount)
+{
+    const auto [count, warned] = threadCountUnderEnv("4");
+    EXPECT_EQ(count, 4u);
+    EXPECT_EQ(warned, "");
+}
+
+TEST(Parallelism, EnvRejectsAnythingButAnIntegerAtLeastOne)
+{
+    ::unsetenv("CMINER_THREADS");
+    const std::size_t fallback = Parallelism::threadCount();
+    // nan, inf and 1e30 used to reach an undefined float-to-integer
+    // cast; 1.5 was truncated; the rest fell back without a word.
+    for (const char *value :
+         {"nan", "inf", "1e30", "1.5", "bogus", "0", "-3"}) {
+        const auto [count, warned] = threadCountUnderEnv(value);
+        EXPECT_EQ(count, fallback) << value;
+        EXPECT_NE(warned.find("CMINER_THREADS='" + std::string(value) +
+                              "'"),
+                  std::string::npos)
+            << value << " warned: " << warned;
+    }
 }
 
 // --- trySubmit: bounded, non-blocking admission --------------------------
