@@ -100,8 +100,8 @@ main()
     store_options.directory = store_dir;
     store_options.memoryBudgetBytes = 96ull << 20;
     // Seal small and compact aggressively so the example exercises the
-    // whole segment lifecycle; the target also bounds compaction's
-    // transient RAM well under the budget.
+    // whole segment lifecycle; the target caps the merged file size
+    // (a merge streams its columns, so it stages no container in RAM).
     store_options.sealThresholdBytes = 2ull << 20;
     store_options.compactTargetBytes = 12ull << 20;
 

@@ -1,7 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cstring>
-
 #include "util/binary_io.h"
 #include "util/error.h"
 #include "util/string_util.h"
@@ -11,45 +9,6 @@ namespace cminer::serve {
 namespace util = cminer::util;
 
 namespace {
-
-// ---- little-endian append helpers (the writer side of the bounded
-// reader in util/binary_io.h, without the container header) ----------
-
-void
-appendU8(std::string &out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int b = 0; b < 4; ++b)
-        out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b)
-        out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-void
-appendF64(std::string &out, double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    appendU64(out, bits);
-}
-
-void
-appendStr(std::string &out, std::string_view s)
-{
-    appendU64(out, s.size());
-    out.append(s.data(), s.size());
-}
 
 /** Wire value of a status code (stable; never reorder). */
 std::uint8_t
@@ -135,66 +94,63 @@ Response::status() const
 std::string
 encodeRequest(const Request &request)
 {
-    std::string out;
-    appendU8(out, static_cast<std::uint8_t>(requestType(request)));
+    util::BinaryWriter out = util::BinaryWriter::raw();
+    out.u8(static_cast<std::uint8_t>(requestType(request)));
     struct Visitor
     {
-        std::string &out;
+        util::BinaryWriter &out;
 
         void operator()(const PredictRequest &r) const
         {
-            appendU64(out, r.id);
-            appendF64(out, r.deadlineMs);
-            appendStr(out, r.model);
-            appendU64(out, r.events.size());
+            out.u64(r.id);
+            out.f64(r.deadlineMs);
+            out.str(r.model);
+            out.u64(r.events.size());
             for (const auto &event : r.events)
-                appendStr(out, event);
-            appendU64(out, r.rowCount);
-            appendU64(out, r.values.size());
-            for (double v : r.values)
-                appendF64(out, v);
+                out.str(event);
+            out.u64(r.rowCount);
+            out.u64(r.values.size());
+            out.f64Span(r.values);
         }
 
         void operator()(const StatsRequest &r) const
         {
-            appendU64(out, r.id);
+            out.u64(r.id);
         }
 
         void operator()(const MineRequest &r) const
         {
-            appendU64(out, r.id);
-            appendF64(out, r.deadlineMs);
-            appendStr(out, r.benchmark);
-            appendStr(out, r.modelName);
-            appendU64(out, r.runs);
-            appendU64(out, r.minEvents);
-            appendU64(out, r.seed);
+            out.u64(r.id);
+            out.f64(r.deadlineMs);
+            out.str(r.benchmark);
+            out.str(r.modelName);
+            out.u64(r.runs);
+            out.u64(r.minEvents);
+            out.u64(r.seed);
         }
 
         void operator()(const ShutdownRequest &r) const
         {
-            appendU64(out, r.id);
+            out.u64(r.id);
         }
 
         void operator()(const ScoreRequest &r) const
         {
-            appendU64(out, r.id);
-            appendF64(out, r.deadlineMs);
-            appendStr(out, r.scorer);
-            appendU64(out, r.events.size());
+            out.u64(r.id);
+            out.f64(r.deadlineMs);
+            out.str(r.scorer);
+            out.u64(r.events.size());
             for (const auto &event : r.events)
-                appendStr(out, event);
-            appendU64(out, r.rowCount);
-            appendU64(out, r.values.size());
-            for (double v : r.values)
-                appendF64(out, v);
-            appendU64(out, r.measured.size());
-            for (double v : r.measured)
-                appendF64(out, v);
+                out.str(event);
+            out.u64(r.rowCount);
+            out.u64(r.values.size());
+            out.f64Span(r.values);
+            out.u64(r.measured.size());
+            out.f64Span(r.measured);
         }
     };
     std::visit(Visitor{out}, request);
-    return out;
+    return out.finish();
 }
 
 util::StatusOr<Request>
@@ -347,35 +303,34 @@ decodeRequest(std::string payload)
 std::string
 encodeResponse(const Response &response)
 {
-    std::string out;
-    appendU8(out, static_cast<std::uint8_t>(response.type));
-    appendU64(out, response.id);
-    appendU8(out, wireCode(response.code));
-    appendStr(out, response.message);
+    util::BinaryWriter out = util::BinaryWriter::raw();
+    out.u8(static_cast<std::uint8_t>(response.type));
+    out.u64(response.id);
+    out.u8(wireCode(response.code));
+    out.str(response.message);
     if (response.code != util::StatusCode::Ok)
-        return out;
+        return out.finish();
     switch (response.type) {
       case MessageType::Predict:
-        appendU64(out, response.predictions.size());
-        for (double v : response.predictions)
-            appendF64(out, v);
+        out.u64(response.predictions.size());
+        out.f64Span(response.predictions);
         break;
       case MessageType::Stats:
       case MessageType::Mine:
-        appendStr(out, response.text);
+        out.str(response.text);
         break;
       case MessageType::Score:
-        appendU8(out, response.anomalous ? 1 : 0);
-        appendF64(out, response.residualZ);
-        appendF64(out, response.signatureDistance);
-        appendU64(out, response.familyIndex);
-        appendStr(out, response.text);
+        out.u8(response.anomalous ? 1 : 0);
+        out.f64(response.residualZ);
+        out.f64(response.signatureDistance);
+        out.u64(response.familyIndex);
+        out.str(response.text);
         break;
       case MessageType::Shutdown:
       case MessageType::Unknown:
         break;
     }
-    return out;
+    return out.finish();
 }
 
 util::StatusOr<Response>
@@ -449,7 +404,9 @@ appendFrame(std::string &out, std::string_view payload)
             "frame payload of %zu bytes exceeds the %zu-byte frame "
             "ceiling",
             payload.size(), max_frame_bytes));
-    appendU32(out, static_cast<std::uint32_t>(payload.size()));
+    util::BinaryWriter length = util::BinaryWriter::raw();
+    length.u32(static_cast<std::uint32_t>(payload.size()));
+    out += length.finish();
     out.append(payload.data(), payload.size());
     return util::Status::okStatus();
 }
@@ -468,11 +425,8 @@ nextFrame(std::string_view bytes, std::size_t &pos, std::string &payload,
         return util::Status::dataError(util::format(
             "torn frame header at offset %zu: %zu of 4 length bytes",
             pos, bytes.size() - pos));
-    std::uint32_t length = 0;
-    for (int b = 0; b < 4; ++b)
-        length |= static_cast<std::uint32_t>(
-                      static_cast<unsigned char>(bytes[pos + b]))
-                  << (8 * b);
+    const std::uint32_t length =
+        util::BinaryReader::rawView(bytes.substr(pos, 4)).u32();
     // Validate the declared length against both the ceiling and the
     // bytes actually present before touching payload storage.
     if (length > max_frame_bytes)

@@ -18,8 +18,10 @@
  * (clients pipeline many requests per connection and match responses
  * by id — responses may arrive out of request order), then typed
  * fields. All integers are little-endian; strings are u64-length-
- * prefixed UTF-8; every count is validated against the bytes actually
- * remaining before allocation (util::BinaryReader bounded reads).
+ * prefixed UTF-8. Payloads are encoded by the headerless
+ * util::BinaryWriter::raw() and decoded by util::BinaryReader bounded
+ * reads, which validate every count against the bytes actually
+ * remaining before allocation.
  *
  * The protocol is deliberately small: predict (score rows against a
  * loaded MAPM checkpoint), stats (the service dashboard), mine (run a

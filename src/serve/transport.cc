@@ -12,28 +12,13 @@
 #include <unistd.h>
 
 #include "serve/server.h"
+#include "util/binary_io.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace cminer::serve {
 
 namespace util = cminer::util;
-
-namespace {
-
-/** Decode a 4-byte little-endian frame length. */
-std::uint32_t
-decodeLength(const char *bytes)
-{
-    std::uint32_t length = 0;
-    for (int b = 0; b < 4; ++b)
-        length |= static_cast<std::uint32_t>(
-                      static_cast<unsigned char>(bytes[b]))
-                  << (8 * b);
-    return length;
-}
-
-} // namespace
 
 util::Status
 StreamFrameSource::next(std::string &payload, bool &eof)
@@ -50,7 +35,8 @@ StreamFrameSource::next(std::string &payload, bool &eof)
     if (header_got < sizeof(header))
         return util::Status::dataError(util::format(
             "torn frame header: %zu of 4 length bytes", header_got));
-    const std::uint32_t length = decodeLength(header);
+    const std::uint32_t length =
+        util::BinaryReader::rawView({header, sizeof(header)}).u32();
     if (length > max_frame_bytes)
         return util::Status::dataError(util::format(
             "frame declares %u bytes (max %zu)", length,
@@ -184,7 +170,8 @@ FdFrameSource::next(std::string &payload, bool &eof)
         }
         got += static_cast<std::size_t>(n);
     }
-    const std::uint32_t length = decodeLength(header);
+    const std::uint32_t length =
+        util::BinaryReader::rawView({header, sizeof(header)}).u32();
     if (length > max_frame_bytes)
         return util::Status::dataError(util::format(
             "frame declares %u bytes (max %zu)", length,

@@ -84,7 +84,8 @@ SegmentWriter::write(const std::string &path)
 
     // Column payloads first: their absolute offsets are recorded here
     // and written into the catalog below. Alignment padding keeps every
-    // payload mappable as double[].
+    // payload mappable as double[]. The payloads are borrowed, not
+    // copied: writeFile() streams them from the pinned spans.
     std::vector<std::vector<std::uint64_t>> offsets(runs_.size());
     out.beginSection("columns");
     for (std::size_t r = 0; r < runs_.size(); ++r) {
@@ -92,7 +93,7 @@ SegmentWriter::write(const std::string &path)
         for (const auto &column : runs_[r].columns) {
             out.align8();
             offsets[r].push_back(out.bytesWritten());
-            out.f64Span(column);
+            out.f64SpanRef(column);
         }
     }
     out.endSection();

@@ -9,8 +9,11 @@
  * source segments when compacting) and emits the whole container in
  * one write() pass: column payloads first, 8-byte aligned so readers
  * can map them as `span<const double>`, then the catalog that records
- * each column's absolute offset, then the per-program index. The file
- * lands via the atomic temp-and-rename discipline shared by every
+ * each column's absolute offset, then the per-program index. Only the
+ * header, meta, catalog and index bytes are encoded in memory; each
+ * column payload streams into the file straight from its pinned span,
+ * so neither a seal nor a compaction stages the container in RAM. The
+ * file lands via the atomic temp-and-rename discipline shared by every
  * checkpoint writer.
  */
 
@@ -63,8 +66,8 @@ class SegmentWriter
     std::size_t payloadBytes() const { return payloadBytes_; }
 
     /**
-     * Assemble the container and write it atomically to `path`. The
-     * writer is spent afterwards.
+     * Write the container atomically to `path`, streaming each column
+     * from its span. The writer is spent afterwards.
      * @return Ok, or the validation/I/O failure
      */
     cminer::util::Status write(const std::string &path);

@@ -405,8 +405,8 @@ StoreIndex::maybeCompact()
         const std::uint64_t target = compactTarget();
         const std::uint64_t small = target / 2;
         // First maximal run of adjacent small segments whose merged
-        // size stays under the target. The target also bounds the
-        // transient RAM of the merge (container assembled in memory).
+        // size stays under the target. The merge streams columns from
+        // the mapped inputs, so the target caps file size, not RAM.
         for (std::size_t i = 0; i < segments_.size();) {
             if (segments_[i]->fileBytes() >= small) {
                 ++i;

@@ -19,13 +19,16 @@
  *  - Direct (snapshot-free) readers get the in-RAM Database contract:
  *    results are valid until the next mutation or maintenance step.
  *
- * Durability: sealed segments are durable the moment addRun returns
- * (atomic temp+rename per segment); the write buffer is not until
- * flush() seals it. Compaction writes the merged segment first and
- * retires inputs after the swap, so a crash at any point leaves a
- * directory that openDirectory() resolves to exactly one copy of every
- * run (stale inputs of an interrupted compaction are detected by their
- * covered id ranges and deleted).
+ * Durability: a sealed segment lands by atomic temp+rename, without
+ * fsync, so once the addRun that sealed it returns the segment
+ * survives a crash of this process, but not a power loss or kernel
+ * crash, which can lose or truncate recently written files (a
+ * truncated segment refuses to open). The write buffer survives
+ * nothing until flush() seals it. Compaction writes the merged segment
+ * first and retires inputs after the swap, so a process crash at any
+ * point leaves a directory that open() resolves to exactly one copy of
+ * every run (stale inputs of an interrupted compaction are detected by
+ * their covered id ranges and deleted).
  */
 
 #ifndef CMINER_STORE_STORE_INDEX_H
@@ -74,8 +77,9 @@ struct StoreOptions
     /**
      * Compaction target: adjacent segments smaller than half this are
      * merged until the merged file would exceed it. 0 derives
-     * 4 * sealThresholdBytes. Also bounds compaction's transient RAM
-     * (the merged container is assembled in memory before landing).
+     * 4 * sealThresholdBytes. It caps only the merged file's size:
+     * compaction streams the input columns into the merged file and
+     * never assembles the container in RAM.
      */
     std::size_t compactTargetBytes = 0;
     /** Minimum adjacent small segments before a merge fires. */

@@ -15,10 +15,13 @@
  *   section* { str name, u64 payload_size, payload bytes }
  *
  * where `str` is a u64 byte length followed by raw UTF-8 bytes and all
- * integers are little-endian regardless of host order. Readers that do
- * not recognize a section name skip it by its declared size (forward
- * compatibility); writers never reorder or remove sections within an
- * artifact version (backward compatibility).
+ * integers and doubles are little-endian. The build requires a
+ * little-endian host (a static_assert in binary_io.cc), the same
+ * assumption the segment store's zero-copy `span<const double>` reads
+ * make, so values are encoded and decoded with plain bulk copies.
+ * Readers that do not recognize a section name skip it by its declared
+ * size (forward compatibility); writers never reorder or remove
+ * sections within an artifact version (backward compatibility).
  *
  * BinaryReader does only *bounded* reads: every count and length field
  * is validated against the bytes actually remaining (in the file and in
@@ -31,6 +34,9 @@
  * BinaryWriter assembles the container in memory and writeFile() lands
  * it with the atomic temp-file-and-rename discipline (writeFileAtomic),
  * so a crash mid-write never destroys the previous good checkpoint.
+ * Large f64 payloads can be borrowed instead of copied (f64SpanRef):
+ * writeFile() then streams them from the caller's memory, so the
+ * writer's buffer holds only the small structural bytes.
  */
 
 #ifndef CMINER_UTIL_BINARY_IO_H
@@ -60,12 +66,17 @@ inline constexpr std::uint32_t checkpoint_container_version = 1;
 StatusOr<std::string> readFileBytes(const std::string &path);
 
 /**
- * Write bytes to `path` atomically: the data lands in `path + ".tmp"`
- * in the same directory and is renamed over the destination only after
- * every byte was written and flushed successfully. On any failure the
- * previous file at `path` is left untouched and the temp file is
- * removed.
+ * Write the concatenation of `pieces` to `path` atomically: the data
+ * lands in `path + ".tmp"` in the same directory and is renamed over
+ * the destination only after every byte was written and the file
+ * closed successfully. On any failure the previous file at `path` is
+ * left untouched and the temp file is removed. Nothing is fsync'd: a
+ * landed file survives a crash of the process, not a power loss.
  */
+Status writeFileAtomic(const std::string &path,
+                       std::span<const std::string_view> pieces);
+
+/** writeFileAtomic of one contiguous buffer. */
 Status writeFileAtomic(const std::string &path, std::string_view bytes);
 
 /**
@@ -85,6 +96,14 @@ class BinaryWriter
     BinaryWriter(const std::string &artifact_kind,
                  std::uint32_t artifact_version);
 
+    /**
+     * A writer with no container header, the encoding half of
+     * BinaryReader::raw: primitive writes only (no sections), and
+     * finish() returns exactly the bytes written. The serving wire
+     * protocol encodes its messages this way.
+     */
+    static BinaryWriter raw();
+
     /** Open a named section; all writes until endSection() belong to it. */
     void beginSection(const std::string &name);
 
@@ -102,6 +121,15 @@ class BinaryWriter
     void f64Span(std::span<const double> values);
 
     /**
+     * f64Span without the copy: the writer records where the values
+     * live and writeFile() streams them straight from that memory into
+     * the file. The values must stay alive and unchanged until
+     * writeFile() returns; a writer holding borrowed runs cannot
+     * finish().
+     */
+    void f64SpanRef(std::span<const double> values);
+
+    /**
      * Pad with zero bytes until bytesWritten() is a multiple of 8.
      * Writers of memory-mappable payloads (the segment store) align
      * their f64 runs so a reader can hand out `span<const double>`
@@ -109,28 +137,53 @@ class BinaryWriter
      */
     void align8();
 
-    /** Bytes emitted so far (header + sections). */
-    std::size_t bytesWritten() const { return buffer_.size(); }
+    /** Bytes emitted so far (header + sections, borrowed runs too). */
+    std::size_t bytesWritten() const
+    {
+        return buffer_.size() + borrowedBytes_;
+    }
 
     /**
      * Finalize the container (patch file size and section count) and
-     * return the bytes. The writer is spent afterwards.
+     * return the bytes. The writer is spent afterwards. Not for
+     * writers holding f64SpanRef runs.
      */
     std::string finish();
 
     /**
-     * finish() + writeFileAtomic(), counting `checkpoint.bytes_written`.
+     * Finalize and land the container with writeFileAtomic(), borrowed
+     * runs streamed from their own memory, counting
+     * `checkpoint.bytes_written`. The writer is spent afterwards.
      */
     Status writeFile(const std::string &path);
 
   private:
+    BinaryWriter() = default;
+
+    /** A borrowed f64 run, spliced in at buffer_ offset `at`. */
+    struct Borrowed
+    {
+        std::size_t at = 0;
+        std::string_view bytes;
+    };
+
     void patchU64(std::size_t offset, std::uint64_t v);
 
+    /** Patch the header and mark the writer spent. */
+    void seal();
+
+    /** Owned bytes: everything except the borrowed runs. */
     std::string buffer_;
+    std::vector<Borrowed> borrowed_;
+    std::size_t borrowedBytes_ = 0;
     std::size_t fileSizeOffset_ = 0;
     std::size_t sectionCountOffset_ = 0;
-    std::size_t sectionSizeOffset_ = 0; ///< size field of the open section
+    /** buffer_ offset of the open section's size field. */
+    std::size_t sectionSizeOffset_ = 0;
+    /** File offset where the open section's payload starts. */
+    std::size_t sectionStart_ = 0;
     std::uint64_t sectionCount_ = 0;
+    bool raw_ = false;
     bool inSection_ = false;
     bool finished_ = false;
 };
@@ -215,7 +268,10 @@ class BinaryReader
      */
     std::uint64_t count(std::size_t element_size);
 
-    /** `n` f64 values; `n` must come from count(sizeof(double)). */
+    /**
+     * `n` f64 values in one bounded copy; `n` must come from
+     * count(sizeof(double)).
+     */
     std::vector<double> f64Vec(std::uint64_t n);
 
     /**

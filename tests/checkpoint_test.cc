@@ -233,6 +233,84 @@ TEST(BinaryIo, UnknownSectionsAreSkippedBySize)
     EXPECT_TRUE(in.ok());
 }
 
+TEST(BinaryIo, RawWriterMirrorsRawReader)
+{
+    BinaryWriter out = BinaryWriter::raw();
+    out.u8(0xAB);
+    out.u32(0xDEADBEEF);
+    out.u64(0x0123456789ABCDEFULL);
+    out.f64(-2.5);
+    out.str("hi");
+    out.f64Span(std::vector<double>{1.0, -0.0});
+    const std::string bytes = out.finish();
+
+    // No header: exactly the little-endian encodings, in order.
+    std::string expected = "\xAB\xEF\xBE\xAD\xDE";
+    putU64(expected, 0x0123456789ABCDEFULL);
+    putF64(expected, -2.5);
+    putStr(expected, "hi");
+    putF64(expected, 1.0);
+    putF64(expected, -0.0);
+    EXPECT_EQ(bytes, expected);
+
+    BinaryReader in = BinaryReader::raw(bytes);
+    EXPECT_EQ(in.u8(), 0xAB);
+    EXPECT_EQ(in.u32(), 0xDEADBEEFu);
+    EXPECT_EQ(in.u64(), 0x0123456789ABCDEFULL);
+    EXPECT_EQ(in.f64(), -2.5);
+    EXPECT_EQ(in.str(), "hi");
+    expectBitIdentical(in.f64Vec(2), {1.0, -0.0});
+    EXPECT_TRUE(in.ok());
+    EXPECT_TRUE(in.atEnd());
+}
+
+TEST(BinaryIo, BorrowedRunsEncodeLikeCopiedOnes)
+{
+    const std::vector<double> short_run = {1.0, -0.0, 3.5};
+    const std::vector<double> long_run(70, 0.25);
+    auto build = [&](bool borrow) {
+        BinaryWriter out("test-artifact", 3);
+        out.beginSection("meta");
+        out.str("odd"); // leaves the next section unaligned
+        out.endSection();
+        out.beginSection("columns");
+        for (const auto *run : {&short_run, &long_run}) {
+            out.align8();
+            if (borrow)
+                out.f64SpanRef(*run);
+            else
+                out.f64Span(*run);
+        }
+        out.f64SpanRef({}); // empty runs add nothing
+        out.endSection();
+        out.beginSection("tail");
+        out.u64(out.bytesWritten());
+        out.endSection();
+        return out;
+    };
+    const std::string copied = build(false).finish();
+
+    // writeFile() streams the borrowed runs: same bytes on disk.
+    const std::string path = tmpPath("borrowed.bin");
+    ASSERT_TRUE(build(true).writeFile(path).ok());
+    EXPECT_EQ(readBytes(path), copied);
+    std::filesystem::remove(path);
+
+    auto opened = BinaryReader::fromBytes(copied, "test-artifact");
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    BinaryReader in = std::move(opened).value();
+    EXPECT_EQ(in.beginSection(), "meta");
+    in.endSection();
+    EXPECT_EQ(in.beginSection(), "columns");
+    while (in.offset() % 8 != 0)
+        EXPECT_EQ(in.u8(), 0u);
+    expectBitIdentical(in.f64Vec(short_run.size()), short_run);
+    expectBitIdentical(in.f64Vec(long_run.size()), long_run);
+    EXPECT_TRUE(in.atEnd());
+    in.endSection();
+    EXPECT_TRUE(in.ok());
+}
+
 TEST(BinaryIo, EveryTruncationFailsCleanly)
 {
     BinaryWriter out("test-artifact", 1);

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -331,6 +332,72 @@ TEST(ServeProtocol, ResponsesRoundTripEveryCode)
         EXPECT_EQ(decoded.value().message, status.message());
         EXPECT_EQ(decoded.value().status().code(), status.code());
     }
+}
+
+TEST(ServeProtocol, WireBytesMatchReferenceEncoding)
+{
+    // Value-by-value little-endian reference of the wire layout.
+    std::string expected;
+    auto u8 = [&](std::uint8_t v) {
+        expected.push_back(static_cast<char>(v));
+    };
+    auto u64 = [&](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            expected.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    auto f64 = [&](double v) { u64(std::bit_cast<std::uint64_t>(v)); };
+    auto str = [&](std::string_view s) {
+        u64(s.size());
+        expected.append(s);
+    };
+
+    serve::ScoreRequest score;
+    score.id = 5;
+    score.deadlineMs = 2.5;
+    score.scorer = "fam";
+    score.events = {"CYC", "INS"};
+    score.rowCount = 2;
+    score.values = {1.0, -0.0, 3.5, 4.0};
+    score.measured = {0.5, 0.75};
+    u8(static_cast<std::uint8_t>(serve::MessageType::Score));
+    u64(5);
+    f64(2.5);
+    str("fam");
+    u64(2);
+    str("CYC");
+    str("INS");
+    u64(2);
+    u64(4);
+    for (const double v : score.values)
+        f64(v);
+    u64(2);
+    for (const double v : score.measured)
+        f64(v);
+    EXPECT_EQ(serve::encodeRequest(score), expected);
+
+    serve::Response predicted;
+    predicted.type = serve::MessageType::Predict;
+    predicted.id = 7;
+    predicted.predictions = {0.125, -8.0};
+    expected.clear();
+    u8(static_cast<std::uint8_t>(serve::MessageType::Predict));
+    u64(7);
+    u8(0); // StatusCode::Ok
+    str("");
+    u64(2);
+    f64(0.125);
+    f64(-8.0);
+    EXPECT_EQ(serve::encodeResponse(predicted), expected);
+
+    std::string frame;
+    ASSERT_TRUE(serve::appendFrame(frame, "xyz").ok());
+    EXPECT_EQ(frame, std::string("\x03\x00\x00\x00xyz", 7));
+    std::size_t pos = 0;
+    std::string payload;
+    bool eof = false;
+    ASSERT_TRUE(serve::nextFrame(frame, pos, payload, eof).ok());
+    EXPECT_EQ(payload, "xyz");
+    EXPECT_EQ(pos, frame.size());
 }
 
 TEST(ServeProtocol, RejectsTrailingBytesAndUnknownType)

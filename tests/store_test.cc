@@ -3,14 +3,18 @@
  * Unit tests for the embedded store: cell values, schema validation,
  * table scans, the two-level database organization, binary persistence
  * round-trips, CSV export, and the out-of-core segment store — seal/
- * compaction lifecycle, snapshot pinning, open-time corruption refusal
- * (checkpoint_test's truncation/byte-flip sweep style), and snapshot
- * stability under concurrent ingest and maintenance.
+ * compaction lifecycle, seal and compaction failure recovery, snapshot
+ * pinning, on-disk byte identity against a reference encoder, open-time
+ * corruption refusal (checkpoint_test's truncation/byte-flip sweep
+ * style), and snapshot stability under concurrent ingest and
+ * maintenance.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -757,6 +762,381 @@ TEST(OutOfCoreDatabase, InterruptedCompactionLeftoversResolved)
     EXPECT_EQ(segment_files, 1u);
     std::filesystem::remove_all(dir_a);
     std::filesystem::remove_all(dir_b);
+}
+
+/** Regular files in `dir` with `extension` (directories not counted). */
+std::size_t
+countFiles(const std::string &dir, const std::string &extension)
+{
+    std::size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.is_regular_file() &&
+            entry.path().extension() == extension)
+            ++n;
+    }
+    return n;
+}
+
+/** Checks every run in [0, runs) against makeRunSeries(64, 1000 * id). */
+void
+expectFormulaRuns(const StoreSnapshot &snap, std::size_t runs)
+{
+    ASSERT_EQ(snap.runCount(), runs);
+    for (std::size_t i = 0; i < runs; ++i) {
+        const auto values = snap.values(static_cast<RunId>(i), "EV_A");
+        ASSERT_EQ(values.size(), 64u);
+        for (std::size_t t = 0; t < values.size(); ++t)
+            EXPECT_EQ(values[t], 1000.0 * static_cast<double>(i) +
+                                     static_cast<double>(t));
+    }
+}
+
+TEST(OutOfCoreDatabase, BlockedSealKeepsRunsBufferedAndRetries)
+{
+    const std::string dir = storeDir("blocked_seal");
+    StoreOptions options;
+    options.directory = dir;
+    options.sealThresholdBytes = 4096; // the 4th run seals
+    // A fresh store's first seal covers runs [0, 3] as generation 0;
+    // a directory in its temp slot makes the seal's open fail.
+    const std::string blocker =
+        dir + "/seg_000000000000_000000000003_g000000.cmseg.tmp";
+    std::filesystem::create_directories(blocker);
+    {
+        Database db = Database::openStore(options);
+        for (std::size_t i = 0; i < 4; ++i)
+            db.addRun("p", "s", "mlpx", 1.0,
+                      makeRunSeries(64, static_cast<double>(i) * 1000.0));
+        StoreStats stats = db.storeStats();
+        EXPECT_EQ(stats.sealFailures, 1u);
+        EXPECT_EQ(stats.seals, 0u);
+        EXPECT_EQ(stats.segmentCount, 0u);
+        EXPECT_EQ(stats.bufferedRuns, 4u);
+        expectFormulaRuns(db.snapshot(), 4);
+        EXPECT_EQ(countFiles(dir, ".cmseg"), 0u);
+        EXPECT_EQ(countFiles(dir, ".tmp"), 0u);
+
+        // With the slot free again, the next addRun seals every run.
+        std::filesystem::remove(blocker);
+        db.addRun("p", "s", "mlpx", 1.0, makeRunSeries(64, 4000.0));
+        stats = db.storeStats();
+        EXPECT_EQ(stats.sealFailures, 1u);
+        EXPECT_EQ(stats.seals, 1u);
+        EXPECT_EQ(stats.bufferedRuns, 0u);
+        EXPECT_EQ(stats.sealedRuns, 5u);
+        EXPECT_EQ(countFiles(dir, ".cmseg"), 1u);
+        EXPECT_EQ(countFiles(dir, ".tmp"), 0u);
+    }
+    Database reopened = Database::openStore(options);
+    expectFormulaRuns(reopened.snapshot(), 5);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(OutOfCoreDatabase, BlockedCompactionKeepsInputs)
+{
+    const std::string dir = storeDir("blocked_compaction");
+    StoreOptions options;
+    options.directory = dir;
+    options.sealThresholdBytes = 4096;        // seal every 4 runs
+    options.compactTargetBytes = 64ull << 10; // 4 seals fit one merge
+    // Seals take generations 0-3; the 4th seal triggers the merge of
+    // all four, which writes [0, 15] as generation 4.
+    const std::string blocker =
+        dir + "/seg_000000000000_000000000015_g000004.cmseg.tmp";
+    std::filesystem::create_directories(blocker);
+    {
+        Database db = Database::openStore(options);
+        for (std::size_t i = 0; i < 16; ++i)
+            db.addRun("p", "s", "mlpx", 1.0,
+                      makeRunSeries(64, static_cast<double>(i) * 1000.0));
+        StoreStats stats = db.storeStats();
+        EXPECT_EQ(stats.seals, 4u);
+        EXPECT_EQ(stats.compactionFailures, 1u);
+        EXPECT_EQ(stats.compactions, 0u);
+        EXPECT_EQ(stats.segmentCount, 4u);
+        EXPECT_EQ(countFiles(dir, ".cmseg"), 4u);
+        EXPECT_EQ(countFiles(dir, ".tmp"), 0u);
+        expectFormulaRuns(db.snapshot(), 16);
+
+        // The next maintenance round merges the kept inputs.
+        std::filesystem::remove(blocker);
+        db.flush();
+        stats = db.storeStats();
+        EXPECT_EQ(stats.compactionFailures, 1u);
+        EXPECT_EQ(stats.compactions, 1u);
+        EXPECT_EQ(stats.segmentCount, 1u);
+        EXPECT_EQ(countFiles(dir, ".cmseg"), 1u);
+        expectFormulaRuns(db.snapshot(), 16);
+    }
+    Database reopened = Database::openStore(options);
+    expectFormulaRuns(reopened.snapshot(), 16);
+    std::filesystem::remove_all(dir);
+}
+
+// --- on-disk byte identity against a reference encoder ------------------
+
+/**
+ * Value-by-value little-endian encoder, independent of
+ * util::BinaryWriter, so the byte-identity tests below pin the segment
+ * format itself rather than whatever the writer happens to emit.
+ */
+struct ReferenceBytes
+{
+    std::string bytes;
+    std::size_t padding = 0; ///< alignment bytes emitted so far
+
+    void u32(std::uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+    void u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+    void str(std::string_view s)
+    {
+        u64(s.size());
+        for (const char c : s)
+            bytes.push_back(c);
+    }
+    void align8()
+    {
+        while (bytes.size() % 8 != 0) {
+            bytes.push_back('\0');
+            ++padding;
+        }
+    }
+    void patchU64(std::size_t at, std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            bytes[at + static_cast<std::size_t>(i)] =
+                static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+};
+
+/** A run as handed to Database::addRun, ids assigned from 0. */
+struct ReferenceRun
+{
+    std::string program;
+    std::string mode;
+    double execTimeMs = 0.0;
+    std::vector<TimeSeries> series;
+};
+
+/**
+ * The DESIGN.md §15 segment container for `runs` with ids
+ * [0, runs.size()), built value by value: the §12 header, then the
+ * meta, columns (each column 8-byte aligned), catalog and index
+ * sections.
+ */
+ReferenceBytes
+referenceSegment(const std::string &microarch,
+                 const std::vector<ReferenceRun> &runs)
+{
+    ReferenceBytes out;
+    for (const char c : std::string_view("CMCHKPT1"))
+        out.bytes.push_back(c);
+    out.u32(1);
+    const std::size_t file_size_at = out.bytes.size();
+    out.u64(0);
+    out.str("cminer-segment");
+    out.u32(1);
+    out.u64(4);
+    std::size_t size_at = 0;
+    auto begin = [&](std::string_view name) {
+        out.str(name);
+        size_at = out.bytes.size();
+        out.u64(0);
+    };
+    auto end = [&] {
+        out.patchU64(size_at, out.bytes.size() - size_at - 8);
+    };
+
+    begin("meta");
+    out.str(microarch);
+    out.u64(0);
+    out.u64(runs.size());
+    end();
+
+    std::vector<std::vector<std::uint64_t>> offsets(runs.size());
+    begin("columns");
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        for (const TimeSeries &s : runs[r].series) {
+            out.align8();
+            offsets[r].push_back(out.bytes.size());
+            for (const double v : s.values())
+                out.f64(v);
+        }
+    }
+    end();
+
+    begin("catalog");
+    out.u64(runs.size());
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        const ReferenceRun &run = runs[r];
+        out.u64(r);
+        out.str(run.program);
+        out.str("suite");
+        out.str(run.mode);
+        out.f64(run.execTimeMs);
+        out.f64(run.series.front().intervalMs());
+        out.u64(run.series.front().size());
+        out.u64(run.series.size());
+        for (std::size_t e = 0; e < run.series.size(); ++e) {
+            out.str(run.series[e].eventName());
+            out.u64(offsets[r][e]);
+        }
+    }
+    end();
+
+    std::map<std::string, std::vector<std::uint64_t>> index;
+    for (std::size_t r = 0; r < runs.size(); ++r)
+        index[runs[r].program].push_back(r);
+    begin("index");
+    out.u64(index.size());
+    for (const auto &[program, ordinals] : index) {
+        out.str(program);
+        out.u64(ordinals.size());
+        for (const std::uint64_t ordinal : ordinals)
+            out.u64(ordinal);
+    }
+    end();
+
+    out.patchU64(file_size_at, out.bytes.size());
+    return out;
+}
+
+/**
+ * Eight runs of varied shape: three programs, both modes, lengths 5 to
+ * 12, a third event on odd runs, and values that include -0.0 and a
+ * subnormal, whose bit patterns a lossy encoding would not keep.
+ */
+std::vector<ReferenceRun>
+referenceRuns()
+{
+    std::vector<ReferenceRun> runs;
+    for (std::size_t i = 0; i < 8; ++i) {
+        ReferenceRun run;
+        run.program = "prog" + std::to_string(i % 3);
+        run.mode = i % 2 != 0 ? "mlpx" : "ocoe";
+        run.execTimeMs = 100.0 + 0.5 * static_cast<double>(i);
+        run.series = makeRunSeries(5 + i, static_cast<double>(i) * 10.0);
+        if (i % 2 != 0) {
+            std::vector<double> c(5 + i, -0.0);
+            c.back() = std::numeric_limits<double>::denorm_min();
+            run.series.emplace_back("EV_C", std::move(c), 10.0);
+        }
+        runs.push_back(std::move(run));
+    }
+    return runs;
+}
+
+/** Ingest `runs`, flushing after every `flush_every` runs. */
+void
+ingest(Database &db, const std::vector<ReferenceRun> &runs,
+       std::size_t flush_every)
+{
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        db.addRun(runs[i].program, "suite", runs[i].mode,
+                  runs[i].execTimeMs, runs[i].series);
+        if ((i + 1) % flush_every == 0)
+            db.flush();
+    }
+    db.flush();
+}
+
+/** Bytes of the single segment file in `dir` ("" unless exactly one). */
+std::string
+onlySegmentBytes(const std::string &dir)
+{
+    std::vector<std::string> paths;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".cmseg")
+            paths.push_back(entry.path().string());
+    }
+    return paths.size() == 1 ? readBytes(paths.front()) : "";
+}
+
+/** Index of the first differing byte, or npos when equal. */
+std::size_t
+firstDifference(std::string_view a, std::string_view b)
+{
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        if (a[i] != b[i])
+            return i;
+    }
+    return a.size() == b.size() ? std::string_view::npos : n;
+}
+
+TEST(SegmentFile, SealedBytesMatchReferenceEncoder)
+{
+    const auto runs = referenceRuns();
+    // "haswell-e" leaves the first column 6 bytes short of 8-byte
+    // alignment; a 7-character tag lands it aligned.
+    for (const std::string microarch : {"haswell-e", "zen4-ep"}) {
+        const std::string dir = storeDir("seal_bytes");
+        StoreOptions options;
+        options.directory = dir;
+        options.microarch = microarch;
+        {
+            Database db = Database::openStore(options);
+            ingest(db, runs, runs.size());
+        }
+        const ReferenceBytes expected = referenceSegment(microarch, runs);
+        if (microarch == "haswell-e")
+            EXPECT_EQ(expected.padding, 6u);
+        else
+            EXPECT_EQ(expected.padding, 0u);
+        const std::string actual = onlySegmentBytes(dir);
+        ASSERT_FALSE(actual.empty());
+        EXPECT_EQ(actual.size(), expected.bytes.size()) << microarch;
+        EXPECT_EQ(firstDifference(actual, expected.bytes),
+                  std::string_view::npos)
+            << microarch;
+        std::filesystem::remove_all(dir);
+    }
+}
+
+TEST(SegmentFile, CompactedBytesMatchOneSealAndReferenceEncoder)
+{
+    const auto runs = referenceRuns();
+    StoreOptions options;
+    options.microarch = "haswell-e";
+    options.compactTargetBytes = 1ull << 20; // one merge takes all four
+
+    // Four two-run seals, merged by inline compaction into one file.
+    options.directory = storeDir("compact_bytes_merged");
+    {
+        Database db = Database::openStore(options);
+        ingest(db, runs, 2);
+        const StoreStats stats = db.storeStats();
+        EXPECT_EQ(stats.seals, 4u);
+        EXPECT_EQ(stats.compactions, 1u);
+        EXPECT_EQ(stats.segmentCount, 1u);
+    }
+    const std::string merged = onlySegmentBytes(options.directory);
+    std::filesystem::remove_all(options.directory);
+
+    // The same runs sealed in one go.
+    options.directory = storeDir("compact_bytes_single");
+    {
+        Database db = Database::openStore(options);
+        ingest(db, runs, runs.size());
+        EXPECT_EQ(db.storeStats().compactions, 0u);
+    }
+    const std::string single = onlySegmentBytes(options.directory);
+    std::filesystem::remove_all(options.directory);
+
+    ASSERT_FALSE(merged.empty());
+    ASSERT_FALSE(single.empty());
+    EXPECT_EQ(firstDifference(merged, single), std::string_view::npos);
+    const ReferenceBytes expected = referenceSegment("haswell-e", runs);
+    EXPECT_EQ(firstDifference(merged, expected.bytes),
+              std::string_view::npos);
 }
 
 // --- segment file corruption sweep (checkpoint_test style) --------------
