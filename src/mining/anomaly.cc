@@ -208,14 +208,12 @@ AnomalyScorer::runResidual(std::span<const double> predicted,
 }
 
 StatusOr<ScoreResult>
-AnomalyScorer::scoreColumns(
-    const std::vector<std::vector<double>> &columns,
-    std::span<const double> measured) const
+AnomalyScorer::scoreColumns(std::vector<std::vector<double>> columns,
+                            std::span<const double> measured) const
 {
     const std::size_t rows = measured.size();
-    std::vector<std::vector<double>> owned = columns;
     const ml::Dataset data = ml::Dataset::fromColumns(
-        model_->events, std::move(owned),
+        model_->events, std::move(columns),
         std::vector<double>(rows, 0.0));
     const std::vector<double> predictions =
         model_->model.predictAll(data);
@@ -281,7 +279,7 @@ AnomalyScorer::score(std::span<const double> values,
     for (std::size_t row = 0; row < row_count; ++row)
         for (std::size_t e = 0; e < events; ++e)
             columns[e][row] = values[row * events + e];
-    auto scored = scoreColumns(columns, measured);
+    auto scored = scoreColumns(std::move(columns), measured);
     if (!scored.ok())
         return scored;
     util::count("mining.scores");
@@ -352,7 +350,7 @@ AnomalyScorer::scoreRun(const cminer::store::StoreSnapshot &snap,
                                            columns, measured);
         !gathered.ok())
         return gathered;
-    auto scored = scoreColumns(columns, measured);
+    auto scored = scoreColumns(std::move(columns), measured);
     if (!scored.ok())
         return scored;
     util::count("mining.scores");
@@ -396,9 +394,8 @@ AnomalyScorer::calibrate(
                                                measured);
             !gathered.ok())
             return gathered.withContext("calibrate");
-        std::vector<std::vector<double>> owned = columns;
         const ml::Dataset data = ml::Dataset::fromColumns(
-            model->events, std::move(owned),
+            model->events, std::move(columns),
             std::vector<double>(measured.size(), 0.0));
         const std::vector<double> predictions =
             model->model.predictAll(data);

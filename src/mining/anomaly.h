@@ -197,7 +197,7 @@ class AnomalyScorer
   private:
     /** Prediction + residual + signature for one run's columns. */
     cminer::util::StatusOr<ScoreResult>
-    scoreColumns(const std::vector<std::vector<double>> &columns,
+    scoreColumns(std::vector<std::vector<double>> columns,
                  std::span<const double> measured) const;
 
     std::shared_ptr<const cminer::core::MapmArtifact> model_;

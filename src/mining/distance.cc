@@ -1,7 +1,6 @@
 #include "mining/distance.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -91,12 +90,10 @@ nearestMedoid(std::span<const double> signature,
     CM_ASSERT(signature.size() == options.length);
     const std::size_t n = signature.size();
     // The envelope radius must cover the DTW band or the "bound" could
-    // exceed the true distance; +1 covers the DTW implementation's
-    // minimum band (mirrors ts::nearestNeighborDtw).
+    // exceed the true distance (mirrors ts::nearestNeighborDtw). Band 0
+    // is unconstrained DTW and gets a whole-series envelope.
     const std::size_t radius =
-        static_cast<std::size_t>(
-            std::ceil(options.bandFraction * static_cast<double>(n))) +
-        1;
+        ts::dtwBandHalfWidth(n, n, options.bandFraction) + 1;
     const ts::Envelope envelope = ts::computeEnvelope(signature, radius);
 
     ts::DtwOptions dtw;

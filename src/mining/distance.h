@@ -37,7 +37,8 @@ struct SignatureOptions
     bool zNormalize = true;
     /**
      * Sakoe-Chiba band half-width as a fraction of the signature
-     * length, for both DTW and the LB_Keogh envelope radius.
+     * length, for both DTW and the LB_Keogh envelope radius; 0 means
+     * unconstrained DTW.
      */
     double bandFraction = 0.1;
 };
@@ -91,9 +92,9 @@ struct NearestMedoid
 
 /**
  * Find the nearest medoid to a signature under DTW, pruning candidates
- * with LB_Keogh. The envelope radius is at least the DTW band width
- * (+1 for the DTW implementation's minimum band), so the bound is
- * admissible: the returned medoid is identical to brute force.
+ * with LB_Keogh. The envelope radius is ts::dtwBandHalfWidth + 1, at
+ * least the DTW band (a whole-series envelope at band 0), so the bound
+ * is admissible: the returned medoid is identical to brute force.
  *
  * @param signature query signature (options.length samples)
  * @param medoids candidate medoid signatures (same length)

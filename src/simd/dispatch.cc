@@ -176,16 +176,6 @@ lbKeoghSum(std::span<const double> lower, std::span<const double> upper,
 }
 
 void
-dtwRowUpdate(double a_i, std::span<const double> b,
-             std::span<const double> prev, std::span<double> curr,
-             std::size_t j_lo, std::size_t j_hi, bool first_row,
-             std::span<double> scratch)
-{
-    activeTable().dtwRowUpdate(a_i, b, prev, curr, j_lo, j_hi, first_row,
-                               scratch);
-}
-
-void
 windowMinMax(std::span<const double> values, double &min_out,
              double &max_out)
 {

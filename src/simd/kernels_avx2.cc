@@ -134,40 +134,6 @@ lbKeoghSum(std::span<const double> lower, std::span<const double> upper,
 }
 
 inline void
-dtwRowUpdate(double a_i, std::span<const double> b,
-             std::span<const double> prev, std::span<double> curr,
-             std::size_t j_lo, std::size_t j_hi, bool first_row,
-             std::span<double> scratch)
-{
-    if (first_row || j_hi - j_lo < 8) {
-        scalar_impl::dtwRowUpdateSeq(a_i, b, prev, curr, j_lo, j_hi,
-                                     first_row, scratch);
-        return;
-    }
-    // Pass 1 (vector): scratch[j] = min(prev[j], prev[j-1]); DP values
-    // are never NaN and never -0.0, so minpd matches std::min bitwise.
-    const double *p = prev.data();
-    double *t = scratch.data();
-    std::size_t j = j_lo;
-    if (j == 0) {
-        t[0] = p[0];
-        j = 1;
-    }
-    for (; j + 4 <= j_hi; j += 4) {
-        _mm256_storeu_pd(t + j, _mm256_min_pd(_mm256_loadu_pd(p + j),
-                                              _mm256_loadu_pd(p + j - 1)));
-    }
-    for (; j < j_hi; ++j)
-        t[j] = std::min(p[j], p[j - 1]);
-    // Pass 2 (scalar): the carried dependence on curr[j-1].
-    for (std::size_t k = j_lo; k < j_hi; ++k) {
-        const double cost = std::abs(a_i - b[k]);
-        const double left = k > 0 ? curr[k - 1] : kInf;
-        curr[k] = cost + std::min(t[k], left);
-    }
-}
-
-inline void
 windowMinMax(std::span<const double> values, double &min_out,
              double &max_out)
 {
@@ -370,7 +336,6 @@ avx2Table()
         avx2_impl::sumSquares,
         avx2_impl::squaredDistance,
         avx2_impl::lbKeoghSum,
-        avx2_impl::dtwRowUpdate,
         avx2_impl::windowMinMax,
         avx2_impl::minMaxFinite,
         avx2_impl::countLessEqual,

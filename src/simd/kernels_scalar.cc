@@ -19,7 +19,6 @@ scalarTable()
         scalar_impl::sumSquaresBlocked,
         scalar_impl::squaredDistanceBlocked,
         scalar_impl::lbKeoghSumBlocked,
-        scalar_impl::dtwRowUpdateSeq,
         scalar_impl::windowMinMaxSeq,
         scalar_impl::minMaxFiniteSeq,
         scalar_impl::countLessEqualSeq,

@@ -4,9 +4,8 @@
  * {2,3} of the four-lane block schedule, so every blocked reduction
  * performs the same additions in the same order as the scalar table.
  * Kernels fall back to the scalar reference for shapes the vector code
- * does not cover (tiny spans, the first DTW row, wide edge tables);
- * both paths satisfy the same exactness tier, so the thresholds are
- * pure tuning knobs.
+ * does not cover (tiny spans, wide edge tables); both paths satisfy the
+ * same exactness tier, so the thresholds are pure tuning knobs.
  */
 
 #include "simd/simd.h"
@@ -154,40 +153,6 @@ lbKeoghSum(std::span<const double> lower, std::span<const double> upper,
     for (std::size_t i = main; i < n; ++i)
         total += scalar_impl::lbKeoghTerm(pl[i], pu[i], pc[i]);
     return total;
-}
-
-inline void
-dtwRowUpdate(double a_i, std::span<const double> b,
-             std::span<const double> prev, std::span<double> curr,
-             std::size_t j_lo, std::size_t j_hi, bool first_row,
-             std::span<double> scratch)
-{
-    if (first_row || j_hi - j_lo < 8) {
-        scalar_impl::dtwRowUpdateSeq(a_i, b, prev, curr, j_lo, j_hi,
-                                     first_row, scratch);
-        return;
-    }
-    // Pass 1 (vector): scratch[j] = min(prev[j], prev[j-1]); DP values
-    // are never NaN and never -0.0, so minpd matches std::min bitwise.
-    const double *p = prev.data();
-    double *t = scratch.data();
-    std::size_t j = j_lo;
-    if (j == 0) {
-        t[0] = p[0];
-        j = 1;
-    }
-    for (; j + 2 <= j_hi; j += 2) {
-        _mm_storeu_pd(
-            t + j, _mm_min_pd(_mm_loadu_pd(p + j), _mm_loadu_pd(p + j - 1)));
-    }
-    for (; j < j_hi; ++j)
-        t[j] = std::min(p[j], p[j - 1]);
-    // Pass 2 (scalar): the carried dependence on curr[j-1].
-    for (std::size_t k = j_lo; k < j_hi; ++k) {
-        const double cost = std::abs(a_i - b[k]);
-        const double left = k > 0 ? curr[k - 1] : kInf;
-        curr[k] = cost + std::min(t[k], left);
-    }
 }
 
 inline void
@@ -377,7 +342,6 @@ sse2Table()
         sse2_impl::sumSquares,
         sse2_impl::squaredDistance,
         sse2_impl::lbKeoghSum,
-        sse2_impl::dtwRowUpdate,
         sse2_impl::windowMinMax,
         sse2_impl::minMaxFinite,
         sse2_impl::countLessEqual,

@@ -5,10 +5,10 @@
  * Included (anonymous namespace, so internal linkage per translation
  * unit) by kernels_scalar.cc to build the scalar dispatch table, and by
  * the SSE2/AVX2 translation units for the paths their vector code does
- * not cover (tiny inputs, first DTW row, wide edge tables). Internal
- * linkage is load-bearing: the AVX2 TU is compiled with -mavx2, and a
- * shared inline function picked from that TU by the linker could leak
- * AVX2 instructions into code reached on non-AVX2 machines.
+ * not cover (tiny inputs, wide edge tables). Internal linkage is
+ * load-bearing: the AVX2 TU is compiled with -mavx2, and a shared
+ * inline function picked from that TU by the linker could leak AVX2
+ * instructions into code reached on non-AVX2 machines.
  *
  * The blocked reductions here define the canonical four-lane schedule
  * (see simd.h): lane l accumulates x[4i + l], lanes combine as
@@ -22,14 +22,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
 namespace {
 namespace scalar_impl {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 inline double
 sumBlocked(std::span<const double> x)
@@ -120,34 +117,6 @@ lbKeoghSumBlocked(std::span<const double> lower,
     for (std::size_t i = main; i < n; ++i)
         total += lbKeoghTerm(lower[i], upper[i], candidate[i]);
     return total;
-}
-
-/**
- * The classic three-way DTW recurrence, verbatim — the bit-exactness
- * reference for every dtwRowUpdate implementation.
- */
-inline void
-dtwRowUpdateSeq(double a_i, std::span<const double> b,
-                std::span<const double> prev, std::span<double> curr,
-                std::size_t j_lo, std::size_t j_hi, bool first_row,
-                std::span<double> /*scratch*/)
-{
-    for (std::size_t j = j_lo; j < j_hi; ++j) {
-        const double cost = std::abs(a_i - b[j]);
-        double best;
-        if (first_row && j == 0) {
-            best = 0.0;
-        } else {
-            best = kInf;
-            if (!first_row)
-                best = std::min(best, prev[j]);
-            if (j > 0)
-                best = std::min(best, curr[j - 1]);
-            if (!first_row && j > 0)
-                best = std::min(best, prev[j - 1]);
-        }
-        curr[j] = cost + best;
-    }
 }
 
 inline void

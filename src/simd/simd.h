@@ -14,10 +14,10 @@
  *
  *  - **sequential-exact**: bit-identical to the naive element-order
  *    scalar loop the kernel replaced, so the hexfloat pipeline goldens
- *    survive. Kernels: dtwRowUpdate, windowMinMax, minMaxFinite,
- *    countLessEqual, lowerBoundBins, equiWidthBins,
- *    splitScanHistogram. (min/max kernels are value-exact; the sign of
- *    a zero result is unspecified when +0.0 and -0.0 are both present.)
+ *    survive. Kernels: windowMinMax, minMaxFinite, countLessEqual,
+ *    lowerBoundBins, equiWidthBins, splitScanHistogram. (min/max
+ *    kernels are value-exact; the sign of a zero result is unspecified
+ *    when +0.0 and -0.0 are both present.)
  *
  *  - **blocked-reduction**: reductions use the fixed four-lane block
  *    schedule below. The result is bit-identical *across dispatch
@@ -116,29 +116,6 @@ double lbKeoghSum(std::span<const double> lower,
 // --- sequential-exact tier -----------------------------------------------
 
 /**
- * One banded-DTW row update (the dtwDistance inner loop), bit-identical
- * to the classic three-way recurrence:
- *   curr[j] = |a_i - b[j]| + min(prev[j], curr[j-1], prev[j-1])
- * with out-of-range predecessors treated as +inf and cell (0, 0)
- * seeded with 0. Cells of `curr` outside [j_lo, j_hi) must already
- * hold +inf (the caller re-fills the row); `prev` holds row i-1 with
- * +inf outside its band.
- *
- * @param a_i value of series a at row i
- * @param b whole second series
- * @param prev previous DP row (ignored when first_row)
- * @param curr row being computed; written on [j_lo, j_hi)
- * @param j_lo first band column (inclusive)
- * @param j_hi last band column (exclusive)
- * @param first_row true when i == 0
- * @param scratch workspace of at least b.size() doubles
- */
-void dtwRowUpdate(double a_i, std::span<const double> b,
-                  std::span<const double> prev, std::span<double> curr,
-                  std::size_t j_lo, std::size_t j_hi, bool first_row,
-                  std::span<double> scratch);
-
-/**
  * Min and max of a non-empty span of finite values (value-exact;
  * zero-sign unspecified). Used by the envelope computation.
  */
@@ -218,10 +195,6 @@ struct KernelTable
     double (*lbKeoghSum)(std::span<const double>,
                          std::span<const double>,
                          std::span<const double>);
-    void (*dtwRowUpdate)(double, std::span<const double>,
-                         std::span<const double>, std::span<double>,
-                         std::size_t, std::size_t, bool,
-                         std::span<double>);
     void (*windowMinMax)(std::span<const double>, double &, double &);
     void (*minMaxFinite)(std::span<const double>, double &, double &,
                          std::size_t &);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
-#include "simd/simd.h"
 #include "util/error.h"
 
 namespace cminer::ts {
@@ -13,8 +13,24 @@ namespace {
 
 constexpr double infinity = std::numeric_limits<double>::infinity();
 
+/** Columns [first, second) of row i that lie inside the band. */
+std::pair<std::size_t, std::size_t>
+bandColumns(std::size_t i, std::size_t n, std::size_t m, std::size_t band)
+{
+    const double center =
+        static_cast<double>(i) * static_cast<double>(m) /
+        static_cast<double>(n);
+    const std::size_t j_lo = center > static_cast<double>(band)
+        ? static_cast<std::size_t>(center) - band : 0;
+    const std::size_t j_hi =
+        std::min(m, static_cast<std::size_t>(center) + band + 1);
+    return {j_lo, j_hi};
+}
+
+} // namespace
+
 std::size_t
-bandHalfWidth(std::size_t n, std::size_t m, double fraction)
+dtwBandHalfWidth(std::size_t n, std::size_t m, double fraction)
 {
     if (fraction <= 0.0)
         return std::max(n, m); // effectively unconstrained
@@ -25,8 +41,6 @@ bandHalfWidth(std::size_t n, std::size_t m, double fraction)
     return std::max(base, diff + 1);
 }
 
-} // namespace
-
 double
 dtwDistance(std::span<const double> a, std::span<const double> b,
             const DtwOptions &options)
@@ -34,33 +48,40 @@ dtwDistance(std::span<const double> a, std::span<const double> b,
     CM_ASSERT(!a.empty() && !b.empty());
     const std::size_t n = a.size();
     const std::size_t m = b.size();
-    const std::size_t band = bandHalfWidth(n, m, options.bandFraction);
+    const std::size_t band = dtwBandHalfWidth(n, m, options.bandFraction);
 
-    // Two-row dynamic program; rows indexed by i over a, columns by j
-    // over b. prev[j] = D(i-1, j), curr[j] = D(i, j). The inner row
-    // update runs on the SIMD layer's dtwRowUpdate, which is
-    // bit-identical to the classic three-way recurrence at every
-    // dispatch level.
-    std::vector<double> prev(m, infinity);
-    std::vector<double> curr(m, infinity);
-    std::vector<double> scratch(m);
+    // Two DP rows of m + 1 slots in one buffer; slot j + 1 holds column
+    // j, and slot 0 (column -1) is never written, so it stays +inf.
+    // Outside its band a row must read as +inf. Row i overwrites the
+    // half that holds row i - 2, and band edges never move left, so the
+    // only stale cells are those of row i - 2 left of row i's band.
+    std::vector<double> rows(2 * (m + 1), infinity);
+    double *prev = rows.data() + (m + 1);
+    double *curr = rows.data();
+    std::size_t lo_back1 = 0; // first band column of row i - 1
+    std::size_t lo_back2 = 0; // ... and of row i - 2
 
     for (std::size_t i = 0; i < n; ++i) {
-        std::fill(curr.begin(), curr.end(), infinity);
-        // Column range allowed by the band around the diagonal.
-        const double center =
-            static_cast<double>(i) * static_cast<double>(m) /
-            static_cast<double>(n);
-        const std::size_t j_lo = center > static_cast<double>(band)
-            ? static_cast<std::size_t>(center) - band : 0;
-        const std::size_t j_hi =
-            std::min(m, static_cast<std::size_t>(center) + band + 1);
-        simd::dtwRowUpdate(a[i], b, prev, curr, j_lo, j_hi, i == 0,
-                           scratch);
+        const auto [j_lo, j_hi] = bandColumns(i, n, m, band);
+        std::fill(curr + lo_back2 + 1, curr + j_lo + 1, infinity);
+        // D(i, j) = |a_i - b_j| + min(D(i-1, j), D(i-1, j-1), D(i, j-1)).
+        // The left neighbour of the band is +inf, except that cell
+        // (0, 0) is seeded with 0. min is exact and DP values are never
+        // NaN or -0, so the grouping of the three-way min keeps every
+        // bit of the classic recurrence.
+        const double a_i = a[i];
+        double left = i == 0 ? 0.0 : infinity;
+        for (std::size_t j = j_lo; j < j_hi; ++j) {
+            const double up = std::min(prev[j + 1], prev[j]);
+            left = std::abs(a_i - b[j]) + std::min(up, left);
+            curr[j + 1] = left;
+        }
         std::swap(prev, curr);
+        lo_back2 = lo_back1;
+        lo_back1 = j_lo;
     }
 
-    double distance = prev[m - 1];
+    double distance = prev[m];
     CM_ASSERT(std::isfinite(distance));
     if (options.normalizeByPathLength)
         distance /= static_cast<double>(n + m);
@@ -86,16 +107,10 @@ dtwAlign(std::span<const double> a, std::span<const double> b,
     // examples align (use dtwDistance for the hot path).
     std::vector<std::vector<double>> d(
         n, std::vector<double>(m, infinity));
-    const std::size_t band = bandHalfWidth(n, m, options.bandFraction);
+    const std::size_t band = dtwBandHalfWidth(n, m, options.bandFraction);
 
     for (std::size_t i = 0; i < n; ++i) {
-        const double center =
-            static_cast<double>(i) * static_cast<double>(m) /
-            static_cast<double>(n);
-        const std::size_t j_lo = center > static_cast<double>(band)
-            ? static_cast<std::size_t>(center) - band : 0;
-        const std::size_t j_hi =
-            std::min(m, static_cast<std::size_t>(center) + band + 1);
+        const auto [j_lo, j_hi] = bandColumns(i, n, m, band);
         for (std::size_t j = j_lo; j < j_hi; ++j) {
             const double cost = std::abs(a[i] - b[j]);
             double best;

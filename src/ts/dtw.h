@@ -45,6 +45,17 @@ struct DtwResult
 };
 
 /**
+ * Sakoe-Chiba band half-width, in columns, of an n x m DTW problem:
+ * ceil(fraction * max(n, m)), widened to |n - m| + 1 so that a path
+ * always exists; max(n, m) (unconstrained) when fraction <= 0. Row i
+ * admits the columns within this distance of floor(i * m / n).
+ * LB_Keogh envelopes size their radius from it, so a band-0 search gets
+ * a whole-series envelope.
+ */
+std::size_t dtwBandHalfWidth(std::size_t n, std::size_t m,
+                             double fraction);
+
+/**
  * DTW distance between two value sequences.
  *
  * @param a first sequence (length n >= 1)

@@ -71,12 +71,9 @@ nearestNeighborDtw(const TimeSeries &query,
     CM_ASSERT(!query.empty());
     const std::size_t n = query.size();
     // The envelope radius must be at least as wide as the DTW band or
-    // the "bound" could exceed the true distance; +1 covers the DTW
-    // implementation's minimum band.
-    const std::size_t radius =
-        static_cast<std::size_t>(
-            std::ceil(band_fraction * static_cast<double>(n))) +
-        1;
+    // the "bound" could exceed the true distance. Band 0 is unconstrained
+    // DTW and gets a whole-series envelope.
+    const std::size_t radius = dtwBandHalfWidth(n, n, band_fraction) + 1;
     const Envelope envelope = computeEnvelope(query.span(), radius);
 
     DtwOptions options;

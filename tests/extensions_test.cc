@@ -96,26 +96,48 @@ TEST(LbKeogh, NearestNeighborFindsTrueMatch)
 
 TEST(LbKeogh, NearestNeighborMatchesBruteForce)
 {
-    const TimeSeries query("Q", noisySine(80, 1.0, 4));
     std::vector<TimeSeries> candidates;
     for (int c = 0; c < 12; ++c)
         candidates.emplace_back("C", noisySine(80, 0.5 * c, 300 + c));
+    // A sine that matches one candidate, plus random walks that match
+    // none: their bounds order the candidates least like their
+    // distances do, which is where an inadmissible bound shows.
+    std::vector<TimeSeries> queries = {
+        TimeSeries("Q", noisySine(80, 1.0, 4))};
+    Rng rng(0x1b4e);
+    for (int walk = 0; walk < 30; ++walk) {
+        std::vector<double> values(80);
+        double level = 0.0;
+        for (auto &v : values) {
+            level += rng.gaussian(0.0, 0.2);
+            v = level;
+        }
+        queries.emplace_back("W", std::move(values));
+    }
 
-    const auto fast = ts::nearestNeighborDtw(query, candidates, 0.1);
-    // Brute force with the same band.
-    ts::DtwOptions options;
-    options.bandFraction = 0.1;
-    std::size_t best = 0;
-    double best_distance = 1e300;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-        const double d = ts::dtwDistance(query, candidates[c], options);
-        if (d < best_distance) {
-            best_distance = d;
-            best = c;
+    // Band 0 is unconstrained DTW: the envelope must span the series.
+    for (const double band : {0.0, 0.05, 0.1, 1.0}) {
+        ts::DtwOptions options;
+        options.bandFraction = band;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            const auto fast =
+                ts::nearestNeighborDtw(queries[q], candidates, band);
+            // Brute force with the same band.
+            std::size_t best = 0;
+            double best_distance = 1e300;
+            for (std::size_t c = 0; c < candidates.size(); ++c) {
+                const double d =
+                    ts::dtwDistance(queries[q], candidates[c], options);
+                if (d < best_distance) {
+                    best_distance = d;
+                    best = c;
+                }
+            }
+            EXPECT_EQ(fast.index, best) << "band " << band << " query " << q;
+            EXPECT_NEAR(fast.distance, best_distance, 1e-9)
+                << "band " << band << " query " << q;
         }
     }
-    EXPECT_EQ(fast.index, best);
-    EXPECT_NEAR(fast.distance, best_distance, 1e-9);
 }
 
 TEST(ZNormalize, MeanZeroUnitVariance)

@@ -36,6 +36,7 @@
 #include "serve/server.h"
 #include "store/database.h"
 #include "ts/dtw.h"
+#include "ts/lb_keogh.h"
 #include "ts/time_series.h"
 #include "util/binary_io.h"
 #include "util/metrics.h"
@@ -180,30 +181,51 @@ TEST(MiningDistance, MatrixMatchesDirectDtw)
 
 TEST(MiningDistance, NearestMedoidMatchesBruteForce)
 {
-    const auto all = plantedSignatures(28, 56, 4, 0xabcd);
-    mining::SignatureOptions options;
-    options.length = 56;
-    const std::vector<std::vector<double>> medoids(all.begin(),
-                                                   all.begin() + 8);
-    for (std::size_t q = 8; q < all.size(); ++q) {
-        const auto pruned =
-            mining::nearestMedoid(all[q], medoids, options);
-        // Brute force with the same lexicographic (distance, index)
-        // preference the pruned search guarantees.
-        std::size_t best = 0;
-        double best_distance =
-            mining::signatureDistance(all[q], medoids[0], options);
-        for (std::size_t m = 1; m < medoids.size(); ++m) {
-            const double d =
-                mining::signatureDistance(all[q], medoids[m], options);
-            if (d < best_distance) {
-                best_distance = d;
-                best = m;
-            }
+    // Planted-family queries sit next to one medoid. Random-walk
+    // queries match no family, so their bounds order the medoids least
+    // like their distances do: an inadmissible bound shows there.
+    auto queries = plantedSignatures(28, 56, 4, 0xabcd);
+    const std::vector<std::vector<double>> medoids(queries.begin(),
+                                                   queries.begin() + 8);
+    queries.erase(queries.begin(), queries.begin() + 8);
+    Rng rng(0x6b0d);
+    for (int walk = 0; walk < 40; ++walk) {
+        std::vector<double> values(56);
+        double level = 0.0;
+        for (auto &v : values) {
+            level += rng.gaussian();
+            v = level;
         }
-        EXPECT_EQ(pruned.index, best) << "query " << q;
-        EXPECT_EQ(pruned.distance, best_distance) << "query " << q;
-        EXPECT_LE(pruned.dtwEvaluations, medoids.size());
+        ts::zNormalize(values);
+        queries.push_back(std::move(values));
+    }
+    // Band 0 is unconstrained DTW: the envelope must span the series.
+    for (const double band : {0.0, 0.05, 0.1, 1.0}) {
+        mining::SignatureOptions options;
+        options.length = 56;
+        options.bandFraction = band;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            const auto pruned =
+                mining::nearestMedoid(queries[q], medoids, options);
+            // Brute force with the same lexicographic (distance, index)
+            // preference the pruned search guarantees.
+            std::size_t best = 0;
+            double best_distance = mining::signatureDistance(
+                queries[q], medoids[0], options);
+            for (std::size_t m = 1; m < medoids.size(); ++m) {
+                const double d = mining::signatureDistance(
+                    queries[q], medoids[m], options);
+                if (d < best_distance) {
+                    best_distance = d;
+                    best = m;
+                }
+            }
+            EXPECT_EQ(pruned.index, best)
+                << "band " << band << " query " << q;
+            EXPECT_EQ(pruned.distance, best_distance)
+                << "band " << band << " query " << q;
+            EXPECT_LE(pruned.dtwEvaluations, medoids.size());
+        }
     }
 }
 

@@ -528,69 +528,6 @@ TEST(SimdKernels, SplitScanHistogramBitIdenticalAcrossLevels)
     }
 }
 
-/**
- * Drive dtwRowUpdate exactly as dtwDistance does and require the whole
- * DP row to match the scalar reference bitwise at every level.
- */
-TEST(SimdKernels, DtwRowUpdateBitIdenticalAcrossLevels)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng seeded(0x2c1e4e4);
-    for (const auto &[n, m] : {std::pair<std::size_t, std::size_t>{1, 1},
-                              {1, 9},
-                              {9, 1},
-                              {7, 8},
-                              {40, 40},
-                              {64, 80},
-                              {200, 190}}) {
-        const auto a = makeValues(seeded, n, Payload::Uniform);
-        const auto b = makeValues(seeded, m, Payload::Uniform);
-        for (const std::size_t band : {std::size_t{2}, std::size_t{8},
-                                       std::max(n, m)}) {
-            // Reference rows from the scalar level, then each level
-            // replays the same banded sweep.
-            auto run = [&](std::vector<std::vector<double>> &out) {
-                std::vector<double> prev(m, kInf), curr(m, kInf),
-                    scratch(m);
-                out.clear();
-                for (std::size_t i = 0; i < n; ++i) {
-                    std::fill(curr.begin(), curr.end(), kInf);
-                    const double center = static_cast<double>(i) *
-                                          static_cast<double>(m) /
-                                          static_cast<double>(n);
-                    const std::size_t j_lo =
-                        center > static_cast<double>(band)
-                            ? static_cast<std::size_t>(center) - band
-                            : 0;
-                    const std::size_t j_hi = std::min(
-                        m, static_cast<std::size_t>(center) + band + 1);
-                    simd::dtwRowUpdate(a[i], b, prev, curr, j_lo, j_hi,
-                                       i == 0, scratch);
-                    out.push_back(curr);
-                    std::swap(prev, curr);
-                }
-            };
-            std::vector<std::vector<double>> ref_rows;
-            simd::setLevel(Level::Scalar);
-            run(ref_rows);
-            forEachLevel([&](Level level) {
-                std::vector<std::vector<double>> rows;
-                run(rows);
-                ASSERT_EQ(rows.size(), ref_rows.size());
-                for (std::size_t i = 0; i < rows.size(); ++i) {
-                    for (std::size_t j = 0; j < m; ++j) {
-                        EXPECT_TRUE(
-                            bitsEqual(rows[i][j], ref_rows[i][j]))
-                            << "n=" << n << " m=" << m << " band="
-                            << band << " cell (" << i << "," << j
-                            << ") level=" << simd::levelName(level);
-                    }
-                }
-            });
-        }
-    }
-}
-
 TEST(SimdProperties, LbKeoghBoundsDtwAcrossLevels)
 {
     SimdLevelGuard guard;
@@ -602,9 +539,7 @@ TEST(SimdProperties, LbKeoghBoundsDtwAcrossLevels)
         const auto a = makeValues(rng, n, Payload::Uniform);
         const auto b = makeValues(rng, n, Payload::Uniform);
         const double band_fraction = 0.1;
-        const auto radius = static_cast<std::size_t>(std::ceil(
-                                band_fraction * static_cast<double>(n))) +
-                            1;
+        const auto radius = ts::dtwBandHalfWidth(n, n, band_fraction) + 1;
         forEachLevel([&](Level level) {
             const auto envelope = ts::computeEnvelope(a, radius);
             const double bound = ts::lbKeogh(envelope, b);
@@ -670,13 +605,9 @@ TEST(SimdProperties, LbKeoghBoundsDtwOnZNormalizedSeries)
         if (kind_a != 0)
             for (double v : a)
                 ASSERT_LE(std::abs(v), 1e-6) << "kind " << kind_a;
-        // The envelope radius is at least the DTW band half-width
-        // (+1 for the implementation's minimum band), keeping the
-        // bound admissible.
-        const auto radius =
-            static_cast<std::size_t>(std::ceil(
-                band_fraction * static_cast<double>(n))) +
-            1;
+        // The envelope radius the mining search uses: at least the DTW
+        // band half-width, keeping the bound admissible.
+        const auto radius = ts::dtwBandHalfWidth(n, n, band_fraction) + 1;
         forEachLevel([&](Level level) {
             const auto envelope = ts::computeEnvelope(a, radius);
             const double bound = ts::lbKeogh(envelope, b);

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ts/dtw.h"
@@ -161,6 +164,75 @@ TEST(Dtw, BandCoversLengthMismatch)
     DtwOptions banded;
     banded.bandFraction = 0.05;
     EXPECT_DOUBLE_EQ(dtwDistance(a, b, banded), 0.0);
+}
+
+// dtwAlign fills the whole matrix with the classic three-way recurrence,
+// so it is an independent reference for dtwDistance's two-row banded
+// loop, which must match it bit for bit.
+TEST(Dtw, DistanceMatchesFullMatrixBitForBit)
+{
+    Rng rng(0x2c1e4e4);
+    std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+        // Near-square: the band moves about one column per row.
+        {1, 1}, {7, 8}, {40, 40}, {200, 190}, {100, 120},
+        // n << m: the band jumps several columns per row.
+        {1, 9}, {64, 80}, {7, 200}, {2, 301},
+        // n > m: the band stalls on some rows while the row two back
+        // still holds cells left of it.
+        {9, 1}, {200, 7}, {301, 2}, {97, 64}, {120, 100}, {300, 200},
+    };
+    for (int extra = 0; extra < 20; ++extra) {
+        const auto n = static_cast<std::size_t>(rng.uniformInt(1, 301));
+        const auto m = static_cast<std::size_t>(rng.uniformInt(1, 301));
+        shapes.emplace_back(n, m);
+    }
+    auto expectSameBits = [](const std::vector<double> &a,
+                             const std::vector<double> &b,
+                             const char *what) {
+        for (const double fraction : {0.0, 0.02, 0.1, 0.5, 1.0}) {
+            for (const bool normalize : {false, true}) {
+                DtwOptions options;
+                options.bandFraction = fraction;
+                options.normalizeByPathLength = normalize;
+                const double fused = dtwDistance(a, b, options);
+                const double full = dtwAlign(a, b, options).distance;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(fused),
+                          std::bit_cast<std::uint64_t>(full))
+                    << what << " " << a.size() << "x" << b.size()
+                    << " band " << fraction << " normalize " << normalize
+                    << ": " << fused << " vs " << full;
+            }
+        }
+    };
+    for (const auto &[n, m] : shapes) {
+        std::vector<double> a(n);
+        std::vector<double> b(m);
+        for (auto &v : a)
+            v = rng.uniform(-2.0, 2.0);
+        for (auto &v : b)
+            v = rng.uniform(-2.0, 2.0);
+        expectSameBits(a, b, "uniform");
+        // A ramp against a curve that rises early: the cheapest path
+        // runs along the band's left edge, next to the cells that the
+        // row two back left behind.
+        for (std::size_t i = 0; i < n; ++i)
+            a[i] = static_cast<double>(i) / static_cast<double>(n);
+        for (std::size_t j = 0; j < m; ++j)
+            b[j] = std::sqrt(static_cast<double>(j) /
+                             static_cast<double>(m));
+        expectSameBits(a, b, "edge");
+    }
+}
+
+TEST(Dtw, BandHalfWidthCoversLengthDifference)
+{
+    EXPECT_EQ(dtwBandHalfWidth(64, 64, 0.0), 64u);
+    EXPECT_EQ(dtwBandHalfWidth(10, 50, 0.0), 50u);
+    EXPECT_EQ(dtwBandHalfWidth(128, 128, 0.1), 13u);
+    EXPECT_EQ(dtwBandHalfWidth(64, 64, 1.0), 64u);
+    // Never narrower than |n - m| + 1, or no path would exist.
+    EXPECT_EQ(dtwBandHalfWidth(10, 50, 0.05), 41u);
+    EXPECT_EQ(dtwBandHalfWidth(50, 10, 0.05), 41u);
 }
 
 TEST(DtwAlign, PathIsValidWarpingPath)
