@@ -515,45 +515,6 @@ simdLevelFromArg(benchmark::State &state)
 }
 
 /**
- * The GBRT split scan's histogram fill over one feature column. This
- * twin pins *parity*, not speedup: the order-preserving fill is
- * scatter-bound and every dispatch level shares the sequential kernel
- * (a bucketed AVX2 variant measured ~2x slower; see simd.h). A future
- * vector specialization has to beat the scalar twin here to earn its
- * slot in the table.
- */
-void
-BM_SplitScan(benchmark::State &state)
-{
-    simdLevelFromArg(state);
-    constexpr std::size_t kRows = 8192;
-    constexpr std::size_t kBins = 64;
-    util::Rng rng(31);
-    std::vector<std::uint8_t> bin_col(kRows);
-    std::vector<double> targets(kRows);
-    std::vector<std::size_t> rows(kRows);
-    for (std::size_t r = 0; r < kRows; ++r) {
-        bin_col[r] = static_cast<std::uint8_t>(
-            rng.uniformInt(0, kBins - 1));
-        targets[r] = rng.gaussian();
-        rows[r] = r;
-    }
-    std::vector<double> bin_sum(kBins);
-    std::vector<std::size_t> bin_count(kBins);
-    for (auto _ : state) {
-        std::fill(bin_sum.begin(), bin_sum.end(), 0.0);
-        std::fill(bin_count.begin(), bin_count.end(), 0);
-        simd::splitScanHistogram(bin_col, targets, rows, bin_sum,
-                                 bin_count);
-        benchmark::DoNotOptimize(bin_sum.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kRows));
-    simd::setLevel(simd::detectedLevel());
-}
-BENCHMARK(BM_SplitScan)->Arg(0)->Arg(1);
-
-/**
  * KNN's per-neighbor squared Euclidean distance over a feature row.
  * The training block is sized to stay cache-resident (226 features x
  * 64 neighbors ~ 113 KiB) so the twin measures the kernel, not DRAM

@@ -30,13 +30,16 @@ univariateResponse(const Gbrt &model, const DatasetView &data,
                    const std::vector<double> &means,
                    const std::vector<std::size_t> &rows, std::size_t event)
 {
-    std::vector<double> response;
-    response.reserve(rows.size());
-    std::vector<double> probe = means;
-    for (std::size_t r : rows) {
-        probe[event] = data.value(r, event);
-        response.push_back(model.predict(probe));
-    }
+    std::vector<double> observed(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        observed[i] = data.value(rows[i], event);
+    std::vector<double> response(rows.size());
+    model.predictRows(
+        rows.size(), means.size(),
+        [&](std::size_t feature, std::size_t row) {
+            return feature == event ? observed[row] : means[feature];
+        },
+        response);
     return response;
 }
 
@@ -50,8 +53,8 @@ univariateResponse(const Gbrt &model, const DatasetView &data,
  * nonlinear — per-event effects are fully explainable and the residual
  * isolates genuine two-way interaction.
  *
- * Pure function of read-only inputs (the probe vector is a local copy),
- * safe and deterministic to evaluate for many pairs concurrently.
+ * Pure function of read-only inputs, safe and deterministic to
+ * evaluate for many pairs concurrently.
  */
 double
 pairResidualVariance(const Gbrt &model, const DatasetView &data,
@@ -62,17 +65,24 @@ pairResidualVariance(const Gbrt &model, const DatasetView &data,
                      const std::vector<double> &alone_a,
                      const std::vector<double> &alone_b)
 {
-    Dataset pair_data({pair.first, pair.second});
-    std::vector<double> oracle;
-    oracle.reserve(rows.size());
-    std::vector<double> probe = means;
+    std::vector<double> observed_a(rows.size());
+    std::vector<double> observed_b(rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        probe[idx_a] = data.value(rows[i], idx_a);
-        probe[idx_b] = data.value(rows[i], idx_b);
-        const double joint = model.predict(probe);
-        pair_data.addRow({alone_a[i], alone_b[i]}, joint);
-        oracle.push_back(joint);
+        observed_a[i] = data.value(rows[i], idx_a);
+        observed_b[i] = data.value(rows[i], idx_b);
     }
+    std::vector<double> oracle(rows.size());
+    model.predictRows(
+        rows.size(), means.size(),
+        [&](std::size_t feature, std::size_t row) {
+            return feature == idx_a   ? observed_a[row]
+                   : feature == idx_b ? observed_b[row]
+                                      : means[feature];
+        },
+        oracle);
+    Dataset pair_data({pair.first, pair.second});
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        pair_data.addRow({alone_a[i], alone_b[i]}, oracle[i]);
 
     // Linear model of the pair's combined effect; its residual variance
     // is the interaction intensity (Eq. 12).

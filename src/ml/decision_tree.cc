@@ -52,11 +52,15 @@ scanCandidate(const FeatureBinner &binner, std::size_t feature,
     const std::span<std::size_t> bin_count(count_slots.data(), bins);
     std::fill(bin_sum.begin(), bin_sum.end(), 0.0);
     std::fill(bin_count.begin(), bin_count.end(), std::size_t{0});
+    // Per-bin sums accumulate in row order. The fill is scatter-bound;
+    // wide variants measured slower (DESIGN.md §13).
     const std::span<const std::uint8_t> bin_col =
         binner.binColumn(feature);
-    // Order-preserving SIMD histogram fill: bit-identical to the naive
-    // scatter loop at every dispatch level.
-    simd::splitScanHistogram(bin_col, targets, rows, bin_sum, bin_count);
+    for (std::size_t r : rows) {
+        const std::uint8_t b = bin_col[r];
+        bin_sum[b] += targets[r];
+        ++bin_count[b];
+    }
     double left_sum = 0.0;
     std::size_t left_count = 0;
     for (std::size_t b = 0; b + 1 < bins; ++b) {
@@ -129,14 +133,6 @@ FeatureBinner::binCount(std::size_t feature) const
     return edges_[feature].size();
 }
 
-std::uint8_t
-FeatureBinner::bin(std::size_t feature, std::size_t row) const
-{
-    CM_ASSERT(feature < bins_.size());
-    CM_ASSERT(row < bins_[feature].size());
-    return bins_[feature][row];
-}
-
 std::span<const std::uint8_t>
 FeatureBinner::binColumn(std::size_t feature) const
 {
@@ -176,6 +172,7 @@ RegressionTree::fit(const DatasetView &data, const FeatureBinner &binner,
     CM_ASSERT(!rows.empty());
     CM_ASSERT(binner.rowCount() == data.rowCount());
     nodes_.clear();
+    depth_ = 0;
     splits_.clear();
     std::vector<std::size_t> row_vec(rows.begin(), rows.end());
     grow(data, binner, targets, row_vec, 0, rng);
@@ -188,7 +185,10 @@ RegressionTree::grow(const DatasetView &data, const FeatureBinner &binner,
                      cminer::util::Rng &rng)
 {
     const std::size_t node_index = nodes_.size();
-    nodes_.emplace_back();
+    CM_ASSERT(node_index < std::numeric_limits<std::uint32_t>::max());
+    const auto self = static_cast<std::uint32_t>(node_index);
+    nodes_.push_back({.child = {self, self}});
+    depth_ = std::max(depth_, depth);
 
     double sum = 0.0;
     for (std::size_t r : rows)
@@ -252,12 +252,14 @@ RegressionTree::grow(const DatasetView &data, const FeatureBinner &binner,
         return node_index; // no acceptable split: stay a leaf
 
     // Partition rows by the winning split.
+    const std::span<const std::uint8_t> best_bins =
+        binner.binColumn(best_feature);
     std::vector<std::size_t> left_rows;
     std::vector<std::size_t> right_rows;
     left_rows.reserve(rows.size());
     right_rows.reserve(rows.size());
     for (std::size_t r : rows) {
-        if (binner.bin(best_feature, r) <= best_bin)
+        if (best_bins[r] <= best_bin)
             left_rows.push_back(r);
         else
             right_rows.push_back(r);
@@ -267,35 +269,39 @@ RegressionTree::grow(const DatasetView &data, const FeatureBinner &binner,
     rows.shrink_to_fit();
 
     splits_.push_back({best_feature, best_improvement});
-    nodes_[node_index].leaf = false;
-    nodes_[node_index].feature = best_feature;
+    nodes_[node_index].feature = static_cast<std::uint32_t>(best_feature);
     nodes_[node_index].threshold =
         binner.upperEdge(best_feature, best_bin);
 
     const std::size_t left_child =
         grow(data, binner, targets, left_rows, depth + 1, rng);
-    nodes_[node_index].left = left_child;
+    nodes_[node_index].child[0] = static_cast<std::uint32_t>(left_child);
     const std::size_t right_child =
         grow(data, binner, targets, right_rows, depth + 1, rng);
-    nodes_[node_index].right = right_child;
+    nodes_[node_index].child[1] = static_cast<std::uint32_t>(right_child);
     return node_index;
 }
 
 double
 RegressionTree::predict(std::span<const double> features) const
 {
-    return walk([features](std::size_t feature) {
-        CM_ASSERT(feature < features.size());
-        return features[feature];
-    });
+    double leaf = 0.0;
+    leafValues(
+        1,
+        [features](std::size_t feature, std::size_t) {
+            CM_ASSERT(feature < features.size());
+            return features[feature];
+        },
+        std::span<double>(&leaf, 1));
+    return leaf;
 }
 
 std::size_t
 RegressionTree::leafCount() const
 {
     std::size_t count = 0;
-    for (const auto &node : nodes_) {
-        if (node.leaf)
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        if (nodes_[i].child[0] == i)
             ++count;
     }
     return count;

@@ -6,10 +6,28 @@
 #include "stats/descriptive.h"
 #include "util/error.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cminer::ml {
+
+namespace {
+
+/** Rows per chunk of the boosting update. */
+constexpr std::size_t kUpdateGrain = 512;
+
+/** Each view feature's base column, indexed by base row. */
+std::vector<const double *>
+baseColumns(const DatasetView &data)
+{
+    std::vector<const double *> columns(data.featureCount());
+    for (std::size_t f = 0; f < columns.size(); ++f)
+        columns[f] = data.base().column(data.baseColumn(f)).data();
+    return columns;
+}
+
+} // namespace
 
 void
 sortByImportance(std::vector<FeatureImportance> &ranking)
@@ -45,11 +63,7 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
             binEdges_[f].push_back(binner.upperEdge(f, b));
     }
 
-    // View feature -> its base column, resolved once for the update.
-    std::vector<std::span<const double>> columns;
-    columns.reserve(data.featureCount());
-    for (std::size_t f = 0; f < data.featureCount(); ++f)
-        columns.push_back(data.base().column(data.baseColumn(f)));
+    const std::vector<const double *> columns = baseColumns(data);
 
     const std::vector<double> targets = data.targets();
     baseline_ = stats::mean(targets);
@@ -92,16 +106,17 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
         // The tree walks the base columns in place: a row costs the few
         // cells on its root-to-leaf path, not a gather of every feature.
         cminer::util::parallelFor(
-            0, data.rowCount(), 512,
+            0, data.rowCount(), kUpdateGrain,
             [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t r = lo; r < hi; ++r) {
-                    const std::size_t base_row = data.baseRow(r);
-                    predictions[r] +=
-                        params_.learningRate *
-                        tree.walk([&](std::size_t feature) {
-                            return columns[feature][base_row];
-                        });
-                }
+                std::array<double, kUpdateGrain> leaves;
+                tree.leafValues(
+                    hi - lo,
+                    [&](std::size_t feature, std::size_t row) {
+                        return columns[feature][data.baseRow(lo + row)];
+                    },
+                    leaves);
+                for (std::size_t r = lo; r < hi; ++r)
+                    predictions[r] += params_.learningRate * leaves[r - lo];
             });
         trees_.push_back(std::move(tree));
     }
@@ -115,34 +130,43 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
 double
 Gbrt::predict(std::span<const double> features) const
 {
-    CM_ASSERT(fitted_);
-    double y = baseline_;
-    for (const auto &tree : trees_)
-        y += params_.learningRate * tree.predict(features);
+    double y = 0.0;
+    predictRows(
+        1, features.size(),
+        [features](std::size_t feature, std::size_t) {
+            return features[feature];
+        },
+        std::span<double>(&y, 1));
     return y;
 }
 
 std::vector<double>
 Gbrt::predictAll(const DatasetView &data) const
 {
-    CM_ASSERT(fitted_);
-    std::vector<double> out(data.rowCount(), 0.0);
-    // Row-major accumulation in the same tree order as predict() (so the
-    // two agree bitwise), with the fitted check hoisted out of the loop
-    // and one gather buffer reused per chunk.
+    const std::vector<const double *> columns = baseColumns(data);
+    std::vector<double> out(data.rowCount());
+    // Rows are independent and each chunk writes its own slots, so the
+    // result is bit-identical for any thread count.
     cminer::util::parallelFor(
         0, data.rowCount(), 256,
         [&](std::size_t lo, std::size_t hi) {
-            std::vector<double> row(data.featureCount());
-            for (std::size_t r = lo; r < hi; ++r) {
-                data.gatherRow(r, row);
-                double y = baseline_;
-                for (const auto &tree : trees_)
-                    y += params_.learningRate * tree.predict(row);
-                out[r] = y;
-            }
+            predictRows(
+                hi - lo, columns.size(),
+                [&](std::size_t feature, std::size_t row) {
+                    return columns[feature][data.baseRow(lo + row)];
+                },
+                std::span<double>(out).subspan(lo, hi - lo));
         });
     return out;
+}
+
+void
+Gbrt::requireWidth(std::size_t width) const
+{
+    if (width < featureNames_.size())
+        cminer::util::fatal(cminer::util::format(
+            "Gbrt: rows hold %zu features, the model reads %zu", width,
+            featureNames_.size()));
 }
 
 std::vector<FeatureImportance>

@@ -13,6 +13,9 @@
 #ifndef CMINER_ML_GBRT_H
 #define CMINER_ML_GBRT_H
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,6 +84,39 @@ class Gbrt
     std::vector<double> predictAll(const DatasetView &data) const;
 
     /**
+     * Predictions for `count` rows whose features come from
+     * `value_of(feature, row)`, written to out[0..count). A row starts
+     * at the baseline and adds each tree's shrunken leaf in tree order,
+     * exactly as predict() does, so both agree bit for bit. Fatal when
+     * `width`, the number of features value_of serves, is narrower
+     * than the model; no feature read is checked after that.
+     */
+    template <typename ValueOf>
+    void predictRows(std::size_t count, std::size_t width,
+                     ValueOf &&value_of, std::span<double> out) const
+    {
+        CM_ASSERT(fitted_);
+        CM_ASSERT(out.size() >= count);
+        requireWidth(width);
+        std::array<double, kRowBlock> leaves;
+        for (std::size_t first = 0; first < count; first += kRowBlock) {
+            const std::size_t rows = std::min(kRowBlock, count - first);
+            const std::span<double> block = out.subspan(first, rows);
+            std::fill(block.begin(), block.end(), baseline_);
+            for (const RegressionTree &tree : trees_) {
+                tree.leafValues(
+                    rows,
+                    [&](std::size_t feature, std::size_t row) {
+                        return value_of(feature, first + row);
+                    },
+                    leaves);
+                for (std::size_t r = 0; r < rows; ++r)
+                    block[r] += params_.learningRate * leaves[r];
+            }
+        }
+    }
+
+    /**
      * Friedman relative influence per feature, normalized so the sum is
      * 100% (paper Eqs. 10-11), sorted descending.
      */
@@ -127,6 +163,12 @@ class Gbrt
     static Gbrt deserialize(cminer::util::BinaryReader &in);
 
   private:
+    /** Rows predictRows() takes through every tree at a time. */
+    static constexpr std::size_t kRowBlock = 256;
+
+    /** Fatal unless `width` covers every model feature. */
+    void requireWidth(std::size_t width) const;
+
     GbrtParams params_;
     double baseline_ = 0.0;
     std::vector<RegressionTree> trees_;

@@ -10,7 +10,9 @@
 
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ml/decision_tree.h"
 #include "util/binary_io.h"
@@ -28,14 +30,18 @@ using cminer::util::StatusOr;
 void
 RegressionTree::serialize(BinaryWriter &out) const
 {
+    // The record keeps its leaf flag and 64-bit fields; a leaf writes
+    // zeros for its feature, threshold and children.
     out.u64(nodes_.size());
-    for (const Node &node : nodes_) {
-        out.u8(node.leaf ? 1 : 0);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node &node = nodes_[i];
+        const bool leaf = node.child[0] == i;
+        out.u8(leaf ? 1 : 0);
         out.f64(node.value);
-        out.u64(node.feature);
-        out.f64(node.threshold);
-        out.u64(node.left);
-        out.u64(node.right);
+        out.u64(leaf ? 0 : node.feature);
+        out.f64(leaf ? 0.0 : node.threshold);
+        out.u64(leaf ? 0 : node.child[0]);
+        out.u64(leaf ? 0 : node.child[1]);
     }
     out.u64(splits_.size());
     for (const SplitRecord &split : splits_) {
@@ -50,40 +56,59 @@ RegressionTree::deserialize(BinaryReader &in, std::size_t feature_count)
     RegressionTree tree;
     // One node is 1 + 8 + 8 + 8 + 8 + 8 bytes on disk.
     const std::uint64_t node_count = in.count(41);
+    if (in.ok() && node_count > std::numeric_limits<std::uint32_t>::max())
+        in.fail(cminer::util::format(
+            "tree has %llu nodes, more than a 32-bit index reaches",
+            static_cast<unsigned long long>(node_count)));
+    if (!in.ok())
+        return RegressionTree();
     tree.nodes_.reserve(node_count);
+    // Longest path from the root to each node. Children point forward,
+    // so a node's entry is final before the node is read; a child two
+    // parents share keeps the deeper one.
+    std::vector<std::size_t> node_depth(node_count, 0);
     for (std::uint64_t i = 0; i < node_count && in.ok(); ++i) {
-        Node node;
-        node.leaf = in.u8() != 0;
-        node.value = in.f64();
-        node.feature = in.u64();
-        node.threshold = in.f64();
-        node.left = in.u64();
-        node.right = in.u64();
+        const bool leaf = in.u8() != 0;
+        const double value = in.f64();
+        const std::size_t feature = in.u64();
+        const double threshold = in.f64();
+        const std::size_t left = in.u64();
+        const std::size_t right = in.u64();
         if (!in.ok())
             break;
-        if (!node.leaf) {
-            if (node.feature >= feature_count) {
-                in.fail(cminer::util::format(
-                    "tree node %llu splits on feature %zu of %zu",
-                    static_cast<unsigned long long>(i), node.feature,
-                    feature_count));
-                break;
-            }
-            // grow() appends children after their parent, so forward
-            // pointers are an invariant — and the loop in predict()
-            // provably terminates on a tree that satisfies it.
-            if (node.left <= i || node.right <= i ||
-                node.left >= node_count || node.right >= node_count) {
-                in.fail(cminer::util::format(
-                    "tree node %llu has out-of-order children "
-                    "(%zu, %zu of %llu nodes)",
-                    static_cast<unsigned long long>(i), node.left,
-                    node.right,
-                    static_cast<unsigned long long>(node_count)));
-                break;
-            }
+        const auto self = static_cast<std::uint32_t>(i);
+        if (leaf) {
+            tree.nodes_.push_back({.value = value, .child = {self, self}});
+            continue;
         }
-        tree.nodes_.push_back(node);
+        if (feature >= feature_count) {
+            in.fail(cminer::util::format(
+                "tree node %llu splits on feature %zu of %zu",
+                static_cast<unsigned long long>(i), feature,
+                feature_count));
+            break;
+        }
+        // grow() appends children after their parent, so forward
+        // pointers are an invariant, and every path ends at a leaf.
+        if (left <= i || right <= i || left >= node_count ||
+            right >= node_count) {
+            in.fail(cminer::util::format(
+                "tree node %llu has out-of-order children "
+                "(%zu, %zu of %llu nodes)",
+                static_cast<unsigned long long>(i), left, right,
+                static_cast<unsigned long long>(node_count)));
+            break;
+        }
+        for (const std::size_t child : {left, right}) {
+            node_depth[child] =
+                std::max(node_depth[child], node_depth[i] + 1);
+            tree.depth_ = std::max(tree.depth_, node_depth[child]);
+        }
+        tree.nodes_.push_back({.threshold = threshold,
+                               .value = value,
+                               .feature = static_cast<std::uint32_t>(feature),
+                               .child = {static_cast<std::uint32_t>(left),
+                                         static_cast<std::uint32_t>(right)}});
     }
     const std::uint64_t split_count = in.count(16);
     tree.splits_.reserve(split_count);
@@ -172,6 +197,10 @@ Gbrt::deserialize(BinaryReader &in)
     for (std::uint64_t t = 0; t < tree_count && in.ok(); ++t) {
         model.trees_.push_back(RegressionTree::deserialize(
             in, model.featureNames_.size()));
+        if (in.ok() && !model.trees_.back().fitted())
+            in.fail(cminer::util::format(
+                "model tree %llu has no nodes",
+                static_cast<unsigned long long>(t)));
     }
     if (!in.ok())
         return Gbrt();

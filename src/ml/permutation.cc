@@ -19,25 +19,20 @@ permutationImportance(const Gbrt &model, const DatasetView &data,
     const double baseline = rmse(targets, model.predictAll(data));
 
     std::vector<double> deltas(data.featureCount(), 0.0);
-    std::vector<std::vector<double>> rows;
-    rows.reserve(data.rowCount());
-    for (std::size_t r = 0; r < data.rowCount(); ++r)
-        rows.push_back(data.row(r));
-
-    std::vector<double> shuffled(data.rowCount());
+    std::vector<double> shuffled;
     std::vector<double> predictions(data.rowCount());
     for (std::size_t f = 0; f < data.featureCount(); ++f) {
         double delta = 0.0;
         for (std::size_t rep = 0; rep < repeats; ++rep) {
-            for (std::size_t r = 0; r < rows.size(); ++r)
-                shuffled[r] = rows[r][f];
+            data.gatherColumn(f, shuffled);
             rng.shuffle(shuffled);
-            for (std::size_t r = 0; r < rows.size(); ++r) {
-                const double original = rows[r][f];
-                rows[r][f] = shuffled[r];
-                predictions[r] = model.predict(rows[r]);
-                rows[r][f] = original;
-            }
+            model.predictRows(
+                data.rowCount(), data.featureCount(),
+                [&](std::size_t feature, std::size_t row) {
+                    return feature == f ? shuffled[row]
+                                        : data.value(row, feature);
+                },
+                predictions);
             delta += rmse(targets, predictions) - baseline;
         }
         deltas[f] =

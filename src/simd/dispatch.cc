@@ -212,15 +212,4 @@ equiWidthBins(std::span<const double> values, double low, double high,
                                 bins_out);
 }
 
-void
-splitScanHistogram(std::span<const std::uint8_t> bin_col,
-                   std::span<const double> targets,
-                   std::span<const std::size_t> rows,
-                   std::span<double> bin_sum,
-                   std::span<std::size_t> bin_count)
-{
-    activeTable().splitScanHistogram(bin_col, targets, rows, bin_sum,
-                                     bin_count);
-}
-
 } // namespace cminer::simd

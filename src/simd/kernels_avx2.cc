@@ -341,9 +341,6 @@ avx2Table()
         avx2_impl::countLessEqual,
         avx2_impl::lowerBoundBins,
         avx2_impl::equiWidthBins,
-        // Scatter-bound: the order-preserving fill gains nothing from
-        // AVX2 (no vector scatter); BM_SplitScan pins the parity.
-        scalar_impl::splitScanHistogramSeq,
     };
     return &table;
 }

@@ -24,7 +24,6 @@ scalarTable()
         scalar_impl::countLessEqualSeq,
         scalar_impl::lowerBoundBinsSeq,
         scalar_impl::equiWidthBinsSeq,
-        scalar_impl::splitScanHistogramSeq,
     };
     return table;
 }

@@ -347,9 +347,6 @@ sse2Table()
         sse2_impl::countLessEqual,
         sse2_impl::lowerBoundBins,
         sse2_impl::equiWidthBins,
-        // Scatter-bound: the order-preserving fill gains nothing from
-        // SSE2 (no vector scatter); BM_SplitScan pins the parity.
-        scalar_impl::splitScanHistogramSeq,
     };
     return &table;
 }

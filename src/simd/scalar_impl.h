@@ -202,20 +202,6 @@ equiWidthBinsSeq(std::span<const double> values, double low, double high,
     }
 }
 
-inline void
-splitScanHistogramSeq(std::span<const std::uint8_t> bin_col,
-                      std::span<const double> targets,
-                      std::span<const std::size_t> rows,
-                      std::span<double> bin_sum,
-                      std::span<std::size_t> bin_count)
-{
-    for (std::size_t r : rows) {
-        const std::uint8_t b = bin_col[r];
-        bin_sum[b] += targets[r];
-        ++bin_count[b];
-    }
-}
-
 } // namespace scalar_impl
 } // namespace
 

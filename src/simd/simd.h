@@ -15,9 +15,9 @@
  *  - **sequential-exact**: bit-identical to the naive element-order
  *    scalar loop the kernel replaced, so the hexfloat pipeline goldens
  *    survive. Kernels: windowMinMax, minMaxFinite, countLessEqual,
- *    lowerBoundBins, equiWidthBins, splitScanHistogram. (min/max
- *    kernels are value-exact; the sign of a zero result is unspecified
- *    when +0.0 and -0.0 are both present.)
+ *    lowerBoundBins, equiWidthBins. (min/max kernels are value-exact;
+ *    the sign of a zero result is unspecified when +0.0 and -0.0 are
+ *    both present.)
  *
  *  - **blocked-reduction**: reductions use the fixed four-lane block
  *    schedule below. The result is bit-identical *across dispatch
@@ -156,33 +156,6 @@ void equiWidthBins(std::span<const double> values, double low,
                    double high, double width, std::size_t bin_count,
                    std::span<std::uint32_t> bins_out);
 
-/**
- * The GBRT split scan's histogram fill: for each row r (in order),
- *   bin_sum[bin_col[r]] += targets[r]; ++bin_count[bin_col[r]].
- * Per-bin addition order is row order, so the result is bit-identical
- * to the naive loop at every dispatch level. Every level currently
- * shares the sequential implementation: the fill is scatter-bound, the
- * per-bin left-folds are inherently serial, and out-of-order execution
- * already interleaves the independent bins — a staged/bucketed AVX2
- * variant measured ~2x *slower* (BM_SplitScan pins the parity; see
- * DESIGN.md §13). The kernel stays in the dispatch table so an ISA
- * with real scatter support (AVX-512) can specialize it later. A bin
- * whose sum is NaN carries an unspecified payload/sign (see the tier
- * notes above).
- *
- * bin_sum / bin_count must be zero-initialized by the caller and at
- * least as large as the largest bin index + 1.
- *
- * @param bin_col per-dataset-row bin index (one feature's bin column)
- * @param targets per-dataset-row regression targets
- * @param rows dataset-row indices to accumulate, in order
- */
-void splitScanHistogram(std::span<const std::uint8_t> bin_col,
-                        std::span<const double> targets,
-                        std::span<const std::size_t> rows,
-                        std::span<double> bin_sum,
-                        std::span<std::size_t> bin_count);
-
 namespace detail {
 
 /** Function-pointer table one dispatch level exports. */
@@ -204,11 +177,6 @@ struct KernelTable
                            std::span<std::uint8_t>);
     void (*equiWidthBins)(std::span<const double>, double, double,
                           double, std::size_t, std::span<std::uint32_t>);
-    void (*splitScanHistogram)(std::span<const std::uint8_t>,
-                               std::span<const double>,
-                               std::span<const std::size_t>,
-                               std::span<double>,
-                               std::span<std::size_t>);
 };
 
 /** The scalar reference table (always available). */

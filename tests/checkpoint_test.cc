@@ -496,10 +496,43 @@ TEST(ModelCheckpoint, ByteFlipsNeverCrash)
         auto loaded = ml::loadModel(victim);
         if (!loaded.ok()) {
             EXPECT_FALSE(loaded.status().message().empty());
+            continue;
         }
+        // A model that loads must be usable: predicting over the
+        // training rows may give garbage values, never a crash.
+        EXPECT_EQ(loaded.value().predictAll(data).size(), data.rowCount())
+            << "flip at byte " << i;
     }
     std::filesystem::remove(path);
     std::filesystem::remove(victim);
+}
+
+TEST(ModelCheckpoint, EmptyTreeIsRejected)
+{
+    // A one-feature model whose only tree has no nodes and no splits.
+    BinaryWriter out(ml::gbrt_artifact_kind, ml::gbrt_artifact_version);
+    out.beginSection(ml::model_section_name);
+    out.u8(1);    // fitted
+    out.f64(2.0); // baseline
+    out.f64(0.1); // shrinkage
+    out.u64(1);   // features
+    out.str("f0");
+    out.u64(1); // bin-edge lists
+    out.u64(1);
+    out.f64(1.0);
+    out.u64(1); // trees
+    out.u64(0); // nodes
+    out.u64(0); // splits
+    out.endSection();
+    const std::string path = tmpPath("model_empty_tree.ckpt");
+    writeBytes(path, out.finish());
+
+    auto loaded = ml::loadModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("tree 0 has no nodes"),
+              std::string::npos)
+        << loaded.status().toString();
+    std::filesystem::remove(path);
 }
 
 // --- MAPM artifact --------------------------------------------------------

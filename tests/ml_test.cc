@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <stdexcept>
+#include <string_view>
 
 #include "ml/cv.h"
 #include "ml/dataset.h"
@@ -16,6 +21,7 @@
 #include "ml/knn.h"
 #include "ml/linear_regression.h"
 #include "ml/metrics.h"
+#include "util/binary_io.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -329,7 +335,7 @@ TEST(FeatureBinner, QuantileBinsCoverRange)
     EXPECT_GE(binner.binCount(0), 8u);
     // Every row maps to a valid bin.
     for (std::size_t r = 0; r < data.rowCount(); r += 97)
-        EXPECT_LT(binner.bin(0, r), binner.binCount(0));
+        EXPECT_LT(binner.binColumn(0)[r], binner.binCount(0));
 }
 
 TEST(FeatureBinner, ConstantFeatureCollapsesToOneBin)
@@ -524,6 +530,361 @@ TEST(Gbrt, DeterministicGivenSeed)
     a.fit(data, rng_a);
     b.fit(data, rng_b);
     EXPECT_DOUBLE_EQ(a.predict({0.5, -0.5}), b.predict({0.5, -0.5}));
+}
+
+// --- tree walk ------------------------------------------------------------
+//
+// The lockstep walk against an independent reference: a fitted model's
+// node records are decoded from its serialized bytes by a test-local
+// reader and walked one row at a time, `x <= threshold ? left : right`
+// until a leaf.
+
+/** One node record as a serialized tree stores it. */
+struct RecordNode
+{
+    bool leaf = true;
+    double value = 0.0;
+    std::uint64_t feature = 0;
+    double threshold = 0.0;
+    std::uint64_t left = 0;
+    std::uint64_t right = 0;
+};
+
+/** An ensemble as its serialized records describe it. */
+struct RecordModel
+{
+    double baseline = 0.0;
+    double shrinkage = 0.1;
+    std::vector<std::string> features;
+    std::vector<std::vector<RecordNode>> trees;
+
+    double predict(std::span<const double> x) const
+    {
+        double y = baseline;
+        for (const auto &tree : trees) {
+            std::size_t at = 0;
+            while (!tree[at].leaf) {
+                const RecordNode &node = tree[at];
+                at = x[node.feature] <= node.threshold ? node.left
+                                                       : node.right;
+            }
+            y += shrinkage * tree[at].value;
+        }
+        return y;
+    }
+};
+
+/** Little-endian cursor over serialized bytes; throws when short. */
+class RecordReader
+{
+  public:
+    explicit RecordReader(std::string bytes) : bytes_(std::move(bytes)) {}
+
+    template <typename T>
+    T get()
+    {
+        T value;
+        std::memcpy(&value, take(sizeof(T)).data(), sizeof(T));
+        return value;
+    }
+
+    std::string_view take(std::size_t n)
+    {
+        if (bytes_.size() - pos_ < n)
+            throw std::runtime_error("record bytes end early");
+        const std::string_view out(bytes_.data() + pos_, n);
+        pos_ += n;
+        return out;
+    }
+
+    bool atEnd() const { return pos_ == bytes_.size(); }
+
+  private:
+    std::string bytes_;
+    std::size_t pos_ = 0;
+};
+
+RecordModel
+decodeRecords(const Gbrt &model)
+{
+    auto writer = cminer::util::BinaryWriter::raw();
+    model.serialize(writer);
+    RecordReader in(writer.finish());
+    RecordModel out;
+    EXPECT_EQ(in.get<std::uint8_t>(), 1u); // fitted
+    out.baseline = in.get<double>();
+    out.shrinkage = in.get<double>();
+    const auto features = in.get<std::uint64_t>();
+    for (std::uint64_t f = 0; f < features; ++f)
+        out.features.emplace_back(in.take(in.get<std::uint64_t>()));
+    const auto edge_lists = in.get<std::uint64_t>();
+    for (std::uint64_t f = 0; f < edge_lists; ++f)
+        in.take(8 * in.get<std::uint64_t>());
+    const auto trees = in.get<std::uint64_t>();
+    for (std::uint64_t t = 0; t < trees; ++t) {
+        std::vector<RecordNode> tree(in.get<std::uint64_t>());
+        for (RecordNode &node : tree) {
+            node.leaf = in.get<std::uint8_t>() != 0;
+            node.value = in.get<double>();
+            node.feature = in.get<std::uint64_t>();
+            node.threshold = in.get<double>();
+            node.left = in.get<std::uint64_t>();
+            node.right = in.get<std::uint64_t>();
+        }
+        in.take(16 * in.get<std::uint64_t>()); // split records
+        out.trees.push_back(std::move(tree));
+    }
+    EXPECT_TRUE(in.atEnd());
+    return out;
+}
+
+/** Load records through Gbrt::deserialize (no bin edges, no splits). */
+Gbrt
+encodeRecords(const RecordModel &records)
+{
+    auto out = cminer::util::BinaryWriter::raw();
+    out.u8(1);
+    out.f64(records.baseline);
+    out.f64(records.shrinkage);
+    out.u64(records.features.size());
+    for (const auto &name : records.features)
+        out.str(name);
+    out.u64(records.features.size());
+    for (std::size_t f = 0; f < records.features.size(); ++f)
+        out.u64(0);
+    out.u64(records.trees.size());
+    for (const auto &tree : records.trees) {
+        out.u64(tree.size());
+        for (const RecordNode &node : tree) {
+            out.u8(node.leaf ? 1 : 0);
+            out.f64(node.value);
+            out.u64(node.feature);
+            out.f64(node.threshold);
+            out.u64(node.left);
+            out.u64(node.right);
+        }
+        out.u64(0);
+    }
+    auto in = cminer::util::BinaryReader::raw(out.finish());
+    Gbrt model = Gbrt::deserialize(in);
+    EXPECT_TRUE(in.ok()) << in.status().toString();
+    return model;
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/**
+ * predict, predictRows and predictAll (at 1, 2 and 8 threads) against
+ * the record walk, bit for bit, on every row of `data`.
+ */
+void
+expectWalkMatchesRecords(const Gbrt &model, const RecordModel &records,
+                         const DatasetView &data)
+{
+    std::vector<std::vector<double>> rows;
+    std::vector<std::uint64_t> expected;
+    for (std::size_t r = 0; r < data.rowCount(); ++r) {
+        rows.push_back(data.row(r));
+        expected.push_back(bitsOf(records.predict(rows.back())));
+        ASSERT_EQ(bitsOf(model.predict(rows.back())), expected.back())
+            << "predict, row " << r << " of " << data.rowCount();
+    }
+    std::vector<double> out(data.rowCount());
+    model.predictRows(
+        data.rowCount(), data.featureCount(),
+        [&](std::size_t feature, std::size_t row) {
+            return rows[row][feature];
+        },
+        out);
+    for (std::size_t r = 0; r < out.size(); ++r)
+        ASSERT_EQ(bitsOf(out[r]), expected[r])
+            << "predictRows, row " << r << " of " << out.size();
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        cminer::util::Parallelism::setThreadCount(threads);
+        const auto all = model.predictAll(data);
+        ASSERT_EQ(all.size(), data.rowCount());
+        for (std::size_t r = 0; r < all.size(); ++r)
+            ASSERT_EQ(bitsOf(all[r]), expected[r])
+                << "predictAll, row " << r << " of " << all.size()
+                << " at " << threads << " threads";
+    }
+    cminer::util::Parallelism::setThreadCount(0);
+}
+
+/** Depths of a record tree's reachable leaves. */
+std::set<std::size_t>
+leafDepths(const std::vector<RecordNode> &tree)
+{
+    std::set<std::size_t> depths;
+    std::vector<std::pair<std::size_t, std::size_t>> stack = {{0, 0}};
+    while (!stack.empty()) {
+        const auto [at, depth] = stack.back();
+        stack.pop_back();
+        if (tree[at].leaf) {
+            depths.insert(depth);
+        } else {
+            stack.emplace_back(tree[at].left, depth + 1);
+            stack.emplace_back(tree[at].right, depth + 1);
+        }
+    }
+    return depths;
+}
+
+TEST(TreeWalk, MatchesRecordWalkBitForBit)
+{
+    const std::vector<std::string> names = {"f0", "f1", "f2", "f3"};
+    Dataset train(names);
+    Rng gen(91);
+    for (int i = 0; i < 400; ++i) {
+        const double a = gen.gaussian();
+        const double b = gen.uniform(-2.0, 2.0);
+        const double c = gen.gaussian();
+        const double d = gen.uniform();
+        train.addRow({a, b, c, d},
+                     std::sin(2.0 * a) + b * c + (d > 0.7 ? 1.5 : 0.0));
+    }
+    GbrtParams params;
+    params.treeCount = 40;
+    params.tree.maxDepth = 5;
+    params.tree.minSamplesLeaf = 9;
+    Gbrt fitted(params);
+    Rng rng(92);
+    fitted.fit(train, rng);
+    ASSERT_GT(fitted.treeCount(), 10u);
+
+    // The fitted trees plus one lone leaf, loaded back as one model.
+    RecordModel records = decodeRecords(fitted);
+    std::set<std::size_t> depths;
+    for (const auto &tree : records.trees) {
+        const auto tree_depths = leafDepths(tree);
+        depths.insert(tree_depths.begin(), tree_depths.end());
+    }
+    ASSERT_GE(depths.size(), 3u) << "leaves at several depths";
+    records.trees.push_back({RecordNode{.value = -0.75}});
+    const Gbrt model = encodeRecords(records);
+    ASSERT_EQ(model.treeCount(), records.trees.size());
+
+    // Thresholds the model splits on, so rows land exactly on them.
+    std::vector<std::pair<std::size_t, double>> cuts;
+    for (const auto &tree : records.trees)
+        for (const RecordNode &node : tree)
+            if (!node.leaf)
+                cuts.emplace_back(node.feature, node.threshold);
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> specials = {
+        std::numeric_limits<double>::quiet_NaN(), inf, -inf, -0.0, 0.0};
+
+    for (const std::size_t count :
+         {1u, 7u, 8u, 9u, 255u, 256u, 257u, 513u}) {
+        Dataset data(names);
+        for (std::size_t r = 0; r < count; ++r) {
+            std::vector<double> row = {gen.gaussian(),
+                                       gen.uniform(-2.0, 2.0),
+                                       gen.gaussian(), gen.uniform()};
+            const double pick = gen.uniform();
+            if (pick < 0.3) {
+                const auto &[f, threshold] = cuts[static_cast<std::size_t>(
+                    gen.uniformInt(0, static_cast<std::int64_t>(
+                                          cuts.size()) - 1))];
+                row[f] = threshold;
+            } else if (pick < 0.6) {
+                row[static_cast<std::size_t>(gen.uniformInt(0, 3))] =
+                    specials[static_cast<std::size_t>(
+                        gen.uniformInt(0, 4))];
+            }
+            data.addRow(row, 0.0);
+        }
+        SCOPED_TRACE(count);
+        expectWalkMatchesRecords(model, records, data);
+    }
+
+    // A view that permutes a column subset of a wider base and a row
+    // subset of its rows.
+    const std::vector<std::string> wide = {"x0", "f2", "x1", "f0",
+                                           "f3", "x2", "f1"};
+    Dataset base(wide);
+    for (int r = 0; r < 600; ++r) {
+        std::vector<double> row(wide.size());
+        for (auto &v : row)
+            v = gen.gaussian();
+        if (r % 7 == 0)
+            row[static_cast<std::size_t>(r % 5)] = specials[r % 5];
+        base.addRow(row, 0.0);
+    }
+    std::vector<std::size_t> picked;
+    for (std::size_t r = 0; r < 600; r += 2)
+        picked.push_back((r * 389) % 600);
+    const DatasetView view = DatasetView(base).withFeatures(names).withRows(
+        picked);
+    expectWalkMatchesRecords(model, records, view);
+}
+
+TEST(TreeWalk, SharedForwardChildTakesTheLongerPath)
+{
+    // Node 6 has two parents: node 2 at depth 2 and node 5 at depth 1.
+    // The path 0 -> 1 -> 2 -> 6 -> {8, 9} is four steps, and node 5,
+    // the later parent, would put node 6 one level higher.
+    auto split = [](std::uint64_t f, std::uint64_t left,
+                    std::uint64_t right, double value) {
+        return RecordNode{.leaf = false,
+                          .value = value,
+                          .feature = f,
+                          .threshold = 0.0,
+                          .left = left,
+                          .right = right};
+    };
+    auto leaf = [](double value) { return RecordNode{.value = value}; };
+    RecordModel records;
+    records.baseline = 0.5;
+    records.shrinkage = 1.0;
+    records.features = {"f0", "f1", "f2", "f3"};
+    records.trees.push_back({split(0, 1, 5, 100.0),  // 0
+                             split(1, 2, 3, 101.0),  // 1
+                             split(2, 4, 6, 102.0),  // 2
+                             leaf(3.0),              // 3
+                             leaf(4.0),              // 4
+                             split(1, 6, 7, 105.0),  // 5
+                             split(3, 8, 9, 106.0),  // 6
+                             leaf(7.0),              // 7
+                             leaf(8.0),              // 8
+                             leaf(9.0)});            // 9
+    const Gbrt model = encodeRecords(records);
+
+    Dataset data(records.features);
+    for (int r = 0; r < 40; ++r) {
+        std::vector<double> row(4);
+        for (int f = 0; f < 4; ++f)
+            row[f] = ((r >> f) & 1) ? 1.0 : -1.0;
+        data.addRow(row, 0.0);
+    }
+    expectWalkMatchesRecords(model, records, data);
+    // Every row ends on a leaf: no prediction is an internal value.
+    for (const double y : model.predictAll(data))
+        EXPECT_LT(y, 10.0);
+}
+
+TEST(TreeWalk, NarrowerRowsAreFatal)
+{
+    Dataset data({"a", "b", "c"});
+    Rng gen(93);
+    for (int i = 0; i < 60; ++i) {
+        const double a = gen.gaussian();
+        data.addRow({a, gen.gaussian(), gen.gaussian()}, a);
+    }
+    GbrtParams params;
+    params.treeCount = 5;
+    Gbrt model(params);
+    Rng rng(94);
+    model.fit(data, rng);
+    EXPECT_THROW(model.predictAll(DatasetView(data).withFeatures({"a", "b"})),
+                 FatalError);
+    EXPECT_THROW(model.predict({1.0, 2.0}), FatalError);
 }
 
 // --- CV ----------------------------------------------------------------

@@ -471,63 +471,6 @@ TEST(SimdKernels, EquiWidthBinsMatchesScalar)
     });
 }
 
-TEST(SimdKernels, SplitScanHistogramBitIdenticalAcrossLevels)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x22360679);
-    for (const std::size_t num_bins : {2u, 3u, 5u, 17u, 32u, 255u}) {
-        for (const std::size_t n : {0u, 1u, 100u, 127u, 128u, 1023u,
-                                    1024u, 4097u}) {
-            std::vector<std::uint8_t> bin_col(n);
-            const bool skewed = rng.bernoulli(0.3);
-            for (auto &b : bin_col) {
-                // Skewed fills stress one group's capacity; uniform
-                // fills stress every lane.
-                const auto hot = static_cast<std::int64_t>(num_bins) - 1;
-                b = static_cast<std::uint8_t>(
-                    skewed && rng.bernoulli(0.8)
-                        ? hot
-                        : rng.uniformInt(0, hot));
-            }
-            auto targets = makeValues(rng, n, Payload::Special);
-            // Rows: a shuffled subset with repeats, plus the identity.
-            std::vector<std::size_t> identity(n);
-            for (std::size_t i = 0; i < n; ++i)
-                identity[i] = i;
-            std::vector<std::size_t> subset;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (rng.bernoulli(0.7))
-                    subset.push_back(static_cast<std::size_t>(
-                        rng.uniformInt(0,
-                                       static_cast<std::int64_t>(n) - 1)));
-            }
-            for (const auto &rows : {identity, subset}) {
-                std::vector<double> ref_sum(num_bins, 0.0);
-                std::vector<std::size_t> ref_count(num_bins, 0);
-                simd::setLevel(Level::Scalar);
-                simd::splitScanHistogram(bin_col, targets, rows, ref_sum,
-                                         ref_count);
-                forEachLevel([&](Level level) {
-                    std::vector<double> got_sum(num_bins, 0.0);
-                    std::vector<std::size_t> got_count(num_bins, 0);
-                    simd::splitScanHistogram(bin_col, targets, rows,
-                                             got_sum, got_count);
-                    EXPECT_EQ(got_count, ref_count)
-                        << "bins=" << num_bins << " n=" << n
-                        << " level=" << simd::levelName(level);
-                    for (std::size_t b = 0; b < num_bins; ++b) {
-                        EXPECT_TRUE(
-                            reductionBitsEqual(got_sum[b], ref_sum[b]))
-                            << "bin " << b << " bins=" << num_bins
-                            << " n=" << n << " rows=" << rows.size()
-                            << " level=" << simd::levelName(level);
-                    }
-                });
-            }
-        }
-    }
-}
-
 TEST(SimdProperties, LbKeoghBoundsDtwAcrossLevels)
 {
     SimdLevelGuard guard;
