@@ -988,6 +988,34 @@ BENCHMARK(BM_DtwMatrix)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * The exact pairwise matrix PAM clusters on (mining::dtwDistanceMatrix)
+ * over `count` 128-sample signatures at band 0.1. Serial, so the figure
+ * is the lockstep DTW kernel's, not the pool's.
+ */
+void
+BM_DtwDistanceMatrix(benchmark::State &state)
+{
+    const auto count = static_cast<std::size_t>(state.range(0));
+    mining::SignatureOptions options;
+    options.length = 128;
+    options.bandFraction = 0.1;
+    const auto signatures = syntheticSignatures(count, 128, 0x5e7);
+    util::Parallelism::setThreadCount(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            mining::dtwDistanceMatrix(signatures, options));
+    util::Parallelism::setThreadCount(0); // restore automatic sizing
+    const std::size_t pairs = count * (count - 1) / 2;
+    state.counters["pairs"] = static_cast<double>(pairs);
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * static_cast<std::int64_t>(pairs)));
+}
+BENCHMARK(BM_DtwDistanceMatrix)
+    ->Arg(96)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * One end-to-end anomaly score: a Gbrt predictAll pass over the run's
  * rows, the residual z-score, and the LB-pruned medoid search — the
  * per-request cost of `cminer serve`'s score path.

@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -462,7 +463,7 @@ cmdCollect(const Flags &flags, std::string &output)
         if (unscorable > 0)
             output += util::format(
                 "watch: %zu runs were not scorable (event list does "
-                "not cover the model)\n",
+                "not cover the model, or a non-finite IPC sample)\n",
                 unscorable);
     }
 
@@ -851,6 +852,7 @@ cmdCluster(const Flags &flags, std::string &output)
     const auto snap = db->snapshot();
     std::vector<store::RunId> ids;
     std::size_t skipped = 0;
+    std::size_t non_finite = 0; // DTW needs every sample finite
     for (const auto &program : db->programs()) {
         for (const auto id : snap.findRuns(program, mode)) {
             const auto &events = snap.runInfo(id).events;
@@ -860,15 +862,34 @@ cmdCluster(const Flags &flags, std::string &output)
                 ++skipped;
                 continue;
             }
+            const auto values = snap.values(id, signature.event);
+            if (!std::all_of(values.begin(), values.end(),
+                             [](double v) { return std::isfinite(v); })) {
+                ++non_finite;
+                continue;
+            }
             ids.push_back(id);
         }
     }
     std::sort(ids.begin(), ids.end());
-    if (ids.size() < 2)
-        util::fatal(util::format(
+    std::vector<std::string> skips;
+    if (skipped > 0)
+        skips.push_back(util::format(
+            "skipped %zu runs without a '%s' series", skipped,
+            signature.event.c_str()));
+    if (non_finite > 0)
+        skips.push_back(util::format(
+            "skipped %zu runs whose '%s' series has a non-finite sample",
+            non_finite, signature.event.c_str()));
+    if (ids.size() < 2) {
+        std::string message = util::format(
             "cluster: %zu eligible '%s' runs with a '%s' series "
             "(need at least 2)",
-            ids.size(), mode.c_str(), signature.event.c_str()));
+            ids.size(), mode.c_str(), signature.event.c_str());
+        for (const auto &skip : skips)
+            message += "; " + skip;
+        util::fatal(message);
+    }
 
     util::Span span("cluster");
     span.number("runs", static_cast<double>(ids.size()));
@@ -896,10 +917,8 @@ cmdCluster(const Flags &flags, std::string &output)
         "%zu swap iterations)\n",
         n, clusters.medoids.size(), clusters.totalCost,
         clusters.iterations);
-    if (skipped > 0)
-        output += util::format(
-            "skipped %zu runs without a '%s' series\n", skipped,
-            signature.event.c_str());
+    for (const auto &skip : skips)
+        output += skip + "\n";
 
     // Per-family membership, in slot order (slots follow ascending
     // medoid index, so the table is stable across reruns).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "core/collector.h"
@@ -21,6 +22,16 @@ using cminer::util::Status;
 using cminer::util::StatusOr;
 
 namespace {
+
+/** Index of the first NaN or infinite value, if any. */
+std::optional<std::size_t>
+firstNonFinite(std::span<const double> values)
+{
+    for (std::size_t i = 0; i < values.size(); ++i)
+        if (!std::isfinite(values[i]))
+            return i;
+    return std::nullopt;
+}
 
 /** Shared structural validation for save and load. */
 Status
@@ -46,6 +57,9 @@ validateArtifact(const ClusterArtifact &artifact)
                 "length %zu)",
                 f, artifact.families[f].signature.size(),
                 artifact.signature.length));
+        if (firstNonFinite(artifact.families[f].signature))
+            return Status::dataError(util::format(
+                "family %zu signature carries a non-finite sample", f));
     }
     const double thresholds[] = {
         artifact.residualMean, artifact.residualStddev,
@@ -233,6 +247,10 @@ AnomalyScorer::scoreColumns(std::vector<std::vector<double>> columns,
             medoids.push_back(family.signature);
         const std::vector<double> signature =
             makeSignature(measured, clusters_.signature);
+        // Finite samples can still overflow the z-normalization.
+        if (firstNonFinite(signature))
+            return Status::dataError(
+                "score: the measured IPC series overflows its signature");
         const NearestMedoid nearest =
             nearestMedoid(signature, medoids, clusters_.signature);
         result.signatureDistance = nearest.distance;
@@ -266,6 +284,10 @@ AnomalyScorer::score(std::span<const double> values,
         return Status::dataError(util::format(
             "score: measured count %zu != rows %zu", measured.size(),
             row_count));
+    if (const auto bad = firstNonFinite(measured))
+        return Status::dataError(util::format(
+            "score: measured IPC row %zu is not finite (%g)", *bad,
+            measured[*bad]));
     if (!clusters_.families.empty() &&
         clusters_.signature.event != core::ipc_series_name)
         return Status::dataError(
@@ -330,6 +352,11 @@ gatherRunColumns(const cminer::store::StoreSnapshot &snap,
                 static_cast<unsigned long long>(id), wanted.c_str()));
     }
     measured = snap.values(id, events.size() - 1);
+    if (const auto bad = firstNonFinite(measured))
+        return Status::dataError(util::format(
+            "run %llu: measured %s sample %zu is not finite (%g)",
+            static_cast<unsigned long long>(id), core::ipc_series_name,
+            *bad, measured[*bad]));
     return Status::okStatus();
 }
 

@@ -1,6 +1,7 @@
 #include "mining/distance.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 
@@ -55,27 +56,44 @@ dtwDistanceMatrix(const std::vector<std::vector<double>> &signatures,
     // Flatten the strict upper triangle: pair p -> (i, j), i < j. The
     // mapping depends only on p, and each pair owns its two mirror
     // slots, so chunking the pair range over the pool cannot change a
-    // single bit of the result.
+    // single bit of the result. Every pair has one shape, so a chunk's
+    // pairs go to the lockstep kernel together; each gets exactly the
+    // bits ts::dtwDistance would give it.
     const std::size_t pairs = n * (n - 1) / 2;
+    constexpr std::size_t grain = 8;
     ts::DtwOptions dtw;
     dtw.bandFraction = options.bandFraction;
-    util::parallelFor(0, pairs, 8, [&](std::size_t begin,
-                                       std::size_t end) {
-        for (std::size_t p = begin; p < end; ++p) {
-            // Invert p = i*n - i*(i+1)/2 + (j - i - 1) by walking rows;
-            // rows are short (< n) so the scan is cheap relative to a
-            // DTW evaluation.
-            std::size_t i = 0;
-            std::size_t offset = p;
-            while (offset >= n - i - 1) {
-                offset -= n - i - 1;
+    util::parallelFor(0, pairs, grain, [&](std::size_t begin,
+                                           std::size_t end) {
+        const std::size_t count = end - begin;
+        CM_ASSERT(count <= grain);
+        // Invert p = i*n - i*(i+1)/2 + (j - i - 1) for the chunk's
+        // first pair by walking rows; later pairs step along the
+        // triangle.
+        std::size_t i = 0;
+        std::size_t offset = begin;
+        while (offset >= n - i - 1) {
+            offset -= n - i - 1;
+            ++i;
+        }
+        std::size_t j = i + 1 + offset;
+        std::array<ts::DtwPair, grain> chunk{};
+        std::array<std::pair<std::size_t, std::size_t>, grain> cells{};
+        for (std::size_t k = 0; k < count; ++k) {
+            chunk[k] = {signatures[i], signatures[j]};
+            cells[k] = {i, j};
+            if (++j == n) {
                 ++i;
+                j = i + 1;
             }
-            const std::size_t j = i + 1 + offset;
-            const double d =
-                ts::dtwDistance(signatures[i], signatures[j], dtw);
-            matrix[i * n + j] = d;
-            matrix[j * n + i] = d;
+        }
+        std::array<double, grain> distances{};
+        ts::dtwDistances(std::span(chunk).first(count), dtw,
+                         std::span(distances).first(count));
+        for (std::size_t k = 0; k < count; ++k) {
+            const auto [row, col] = cells[k];
+            matrix[row * n + col] = distances[k];
+            matrix[col * n + row] = distances[k];
         }
     });
     return matrix;

@@ -151,18 +151,6 @@ availableLevels()
 }
 
 double
-sum(std::span<const double> values)
-{
-    return activeTable().sum(values);
-}
-
-double
-sumSquares(std::span<const double> values)
-{
-    return activeTable().sumSquares(values);
-}
-
-double
 squaredDistance(std::span<const double> a, std::span<const double> b)
 {
     return activeTable().squaredDistance(a, b);

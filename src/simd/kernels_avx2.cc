@@ -49,38 +49,6 @@ laneCombine(__m256d v)
 }
 
 inline double
-sum(std::span<const double> x)
-{
-    const std::size_t n = x.size();
-    const std::size_t main = n & ~std::size_t{3};
-    const double *p = x.data();
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < main; i += 4)
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(p + i));
-    double total = laneCombine(acc);
-    for (std::size_t i = main; i < n; ++i)
-        total += p[i];
-    return total;
-}
-
-inline double
-sumSquares(std::span<const double> x)
-{
-    const std::size_t n = x.size();
-    const std::size_t main = n & ~std::size_t{3};
-    const double *p = x.data();
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < main; i += 4) {
-        const __m256d v = _mm256_loadu_pd(p + i);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-    }
-    double total = laneCombine(acc);
-    for (std::size_t i = main; i < n; ++i)
-        total += p[i] * p[i];
-    return total;
-}
-
-inline double
 squaredDistance(std::span<const double> a, std::span<const double> b)
 {
     const std::size_t n = a.size();
@@ -332,8 +300,6 @@ const KernelTable *
 avx2Table()
 {
     static const KernelTable table = {
-        avx2_impl::sum,
-        avx2_impl::sumSquares,
         avx2_impl::squaredDistance,
         avx2_impl::lbKeoghSum,
         avx2_impl::windowMinMax,

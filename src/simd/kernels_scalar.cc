@@ -15,8 +15,6 @@ const KernelTable &
 scalarTable()
 {
     static const KernelTable table = {
-        scalar_impl::sumBlocked,
-        scalar_impl::sumSquaresBlocked,
         scalar_impl::squaredDistanceBlocked,
         scalar_impl::lbKeoghSumBlocked,
         scalar_impl::windowMinMaxSeq,

@@ -55,44 +55,6 @@ laneSum(__m128d v)
 }
 
 inline double
-sum(std::span<const double> x)
-{
-    const std::size_t n = x.size();
-    const std::size_t main = n & ~std::size_t{3};
-    const double *p = x.data();
-    __m128d acc01 = _mm_setzero_pd();
-    __m128d acc23 = _mm_setzero_pd();
-    for (std::size_t i = 0; i < main; i += 4) {
-        acc01 = _mm_add_pd(acc01, _mm_loadu_pd(p + i));
-        acc23 = _mm_add_pd(acc23, _mm_loadu_pd(p + i + 2));
-    }
-    double total = laneSum(acc01) + laneSum(acc23);
-    for (std::size_t i = main; i < n; ++i)
-        total += p[i];
-    return total;
-}
-
-inline double
-sumSquares(std::span<const double> x)
-{
-    const std::size_t n = x.size();
-    const std::size_t main = n & ~std::size_t{3};
-    const double *p = x.data();
-    __m128d acc01 = _mm_setzero_pd();
-    __m128d acc23 = _mm_setzero_pd();
-    for (std::size_t i = 0; i < main; i += 4) {
-        const __m128d v01 = _mm_loadu_pd(p + i);
-        const __m128d v23 = _mm_loadu_pd(p + i + 2);
-        acc01 = _mm_add_pd(acc01, _mm_mul_pd(v01, v01));
-        acc23 = _mm_add_pd(acc23, _mm_mul_pd(v23, v23));
-    }
-    double total = laneSum(acc01) + laneSum(acc23);
-    for (std::size_t i = main; i < n; ++i)
-        total += p[i] * p[i];
-    return total;
-}
-
-inline double
 squaredDistance(std::span<const double> a, std::span<const double> b)
 {
     const std::size_t n = a.size();
@@ -338,8 +300,6 @@ const KernelTable *
 sse2Table()
 {
     static const KernelTable table = {
-        sse2_impl::sum,
-        sse2_impl::sumSquares,
         sse2_impl::squaredDistance,
         sse2_impl::lbKeoghSum,
         sse2_impl::windowMinMax,

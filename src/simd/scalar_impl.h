@@ -29,42 +29,6 @@ namespace {
 namespace scalar_impl {
 
 inline double
-sumBlocked(std::span<const double> x)
-{
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    const std::size_t n = x.size();
-    const std::size_t main = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < main; i += 4) {
-        a0 += x[i];
-        a1 += x[i + 1];
-        a2 += x[i + 2];
-        a3 += x[i + 3];
-    }
-    double total = (a0 + a1) + (a2 + a3);
-    for (std::size_t i = main; i < n; ++i)
-        total += x[i];
-    return total;
-}
-
-inline double
-sumSquaresBlocked(std::span<const double> x)
-{
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    const std::size_t n = x.size();
-    const std::size_t main = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < main; i += 4) {
-        a0 += x[i] * x[i];
-        a1 += x[i + 1] * x[i + 1];
-        a2 += x[i + 2] * x[i + 2];
-        a3 += x[i + 3] * x[i + 3];
-    }
-    double total = (a0 + a1) + (a2 + a3);
-    for (std::size_t i = main; i < n; ++i)
-        total += x[i] * x[i];
-    return total;
-}
-
-inline double
 squaredDistanceBlocked(std::span<const double> a, std::span<const double> b)
 {
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;

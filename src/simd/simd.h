@@ -23,7 +23,7 @@
  *    schedule below. The result is bit-identical *across dispatch
  *    levels* (the schedule is a function of the length only, never of
  *    the instruction set) but differs from a naive left-fold by
- *    rounding. Kernels: sum, sumSquares, squaredDistance, lbKeoghSum.
+ *    rounding. Kernels: squaredDistance, lbKeoghSum.
  *    These are only wired into paths outside the golden pipeline.
  *    One carve-out for both tiers: when a reduction's result is NaN
  *    (a NaN input, or Inf - Inf), every level returns a quiet NaN but
@@ -91,12 +91,6 @@ std::vector<Level> availableLevels();
 
 // --- blocked-reduction tier ----------------------------------------------
 
-/** Sum of a span under the four-lane block schedule. 0.0 when empty. */
-double sum(std::span<const double> values);
-
-/** Sum of squares under the four-lane block schedule. 0.0 when empty. */
-double sumSquares(std::span<const double> values);
-
 /**
  * Squared Euclidean distance sum((a-b)^2) under the four-lane block
  * schedule. Spans must be the same length.
@@ -161,8 +155,6 @@ namespace detail {
 /** Function-pointer table one dispatch level exports. */
 struct KernelTable
 {
-    double (*sum)(std::span<const double>);
-    double (*sumSquares)(std::span<const double>);
     double (*squaredDistance)(std::span<const double>,
                               std::span<const double>);
     double (*lbKeoghSum)(std::span<const double>,

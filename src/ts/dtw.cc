@@ -13,6 +13,12 @@ namespace {
 
 constexpr double infinity = std::numeric_limits<double>::infinity();
 
+/**
+ * Pairs dtwDistances runs side by side through one pass of the
+ * recurrence (DESIGN.md §13 has the 1/2/4/8-lane measurements).
+ */
+constexpr std::size_t kDtwLanes = 4;
+
 /** Columns [first, second) of row i that lie inside the band. */
 std::pair<std::size_t, std::size_t>
 bandColumns(std::size_t i, std::size_t n, std::size_t m, std::size_t band)
@@ -25,6 +31,85 @@ bandColumns(std::size_t i, std::size_t n, std::size_t m, std::size_t band)
     const std::size_t j_hi =
         std::min(m, static_cast<std::size_t>(center) + band + 1);
     return {j_lo, j_hi};
+}
+
+/**
+ * DTW of Lanes pairs of one n x m shape in lockstep, into out[0, Lanes).
+ *
+ * Each lane owns two DP rows of m + 1 slots; the rows of all lanes are
+ * interleaved in `rows`, so slot s of lane l sits at s * Lanes + l.
+ * Slot j + 1 holds column j, and slot 0 (column -1) is never written,
+ * so it stays +inf. Outside its band a row must read as +inf. Row i
+ * overwrites the half that holds row i - 2, and band edges never move
+ * left, so the only stale cells are those of row i - 2 left of row i's
+ * band. The band and that reset are shared by every lane; lanes never
+ * read each other's slots, so each computes exactly its own pair.
+ */
+template <std::size_t Lanes>
+void
+dtwLanes(const DtwPair *pairs, std::size_t n, std::size_t m,
+         std::size_t band, const DtwOptions &options,
+         std::vector<double> &rows, double *out)
+{
+    const std::size_t stride = (m + 1) * Lanes;
+    rows.assign(2 * stride, infinity);
+    double *prev = rows.data() + stride;
+    double *curr = rows.data();
+    std::size_t lo_back1 = 0; // first band column of row i - 1
+    std::size_t lo_back2 = 0; // ... and of row i - 2
+    const double *a[Lanes] = {};
+    const double *b[Lanes] = {};
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < Lanes; ++l) {
+        a[l] = pairs[l].a.data();
+        b[l] = pairs[l].b.data();
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto [j_lo, j_hi] = bandColumns(i, n, m, band);
+        std::fill(curr + (lo_back2 + 1) * Lanes,
+                  curr + (j_lo + 1) * Lanes, infinity);
+        // D(i, j) = |a_i - b_j| + min(D(i-1, j), D(i-1, j-1), D(i, j-1)).
+        // The left neighbour of the band is +inf, except that cell
+        // (0, 0) is seeded with 0. min is exact and DP values are never
+        // NaN or -0, so the grouping of the three-way min keeps every
+        // bit of the classic recurrence. The lane loops must unroll
+        // fully: only then do left and a_i stay in registers. D(i-1,
+        // j-1) is read back from the row rather than carried from the
+        // previous column; carrying it made GCC 12 put two register
+        // moves on the serial left chain.
+        double a_i[Lanes] = {};
+        double left[Lanes] = {};
+#pragma GCC unroll 8
+        for (std::size_t l = 0; l < Lanes; ++l) {
+            a_i[l] = a[l][i];
+            left[l] = i == 0 ? 0.0 : infinity;
+        }
+        for (std::size_t j = j_lo; j < j_hi; ++j) {
+            const double *diag = prev + j * Lanes;
+            const double *above = diag + Lanes;
+            double *cell = curr + (j + 1) * Lanes;
+#pragma GCC unroll 8
+            for (std::size_t l = 0; l < Lanes; ++l) {
+                const double up = std::min(above[l], diag[l]);
+                left[l] = std::abs(a_i[l] - b[l][j]) +
+                          std::min(up, left[l]);
+                cell[l] = left[l];
+            }
+        }
+        std::swap(prev, curr);
+        lo_back2 = lo_back1;
+        lo_back1 = j_lo;
+    }
+
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < Lanes; ++l) {
+        double distance = prev[m * Lanes + l];
+        CM_ASSERT(std::isfinite(distance));
+        if (options.normalizeByPathLength)
+            distance /= static_cast<double>(n + m);
+        out[l] = distance;
+    }
 }
 
 } // namespace
@@ -48,44 +133,33 @@ dtwDistance(std::span<const double> a, std::span<const double> b,
     CM_ASSERT(!a.empty() && !b.empty());
     const std::size_t n = a.size();
     const std::size_t m = b.size();
-    const std::size_t band = dtwBandHalfWidth(n, m, options.bandFraction);
-
-    // Two DP rows of m + 1 slots in one buffer; slot j + 1 holds column
-    // j, and slot 0 (column -1) is never written, so it stays +inf.
-    // Outside its band a row must read as +inf. Row i overwrites the
-    // half that holds row i - 2, and band edges never move left, so the
-    // only stale cells are those of row i - 2 left of row i's band.
-    std::vector<double> rows(2 * (m + 1), infinity);
-    double *prev = rows.data() + (m + 1);
-    double *curr = rows.data();
-    std::size_t lo_back1 = 0; // first band column of row i - 1
-    std::size_t lo_back2 = 0; // ... and of row i - 2
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto [j_lo, j_hi] = bandColumns(i, n, m, band);
-        std::fill(curr + lo_back2 + 1, curr + j_lo + 1, infinity);
-        // D(i, j) = |a_i - b_j| + min(D(i-1, j), D(i-1, j-1), D(i, j-1)).
-        // The left neighbour of the band is +inf, except that cell
-        // (0, 0) is seeded with 0. min is exact and DP values are never
-        // NaN or -0, so the grouping of the three-way min keeps every
-        // bit of the classic recurrence.
-        const double a_i = a[i];
-        double left = i == 0 ? 0.0 : infinity;
-        for (std::size_t j = j_lo; j < j_hi; ++j) {
-            const double up = std::min(prev[j + 1], prev[j]);
-            left = std::abs(a_i - b[j]) + std::min(up, left);
-            curr[j + 1] = left;
-        }
-        std::swap(prev, curr);
-        lo_back2 = lo_back1;
-        lo_back1 = j_lo;
-    }
-
-    double distance = prev[m];
-    CM_ASSERT(std::isfinite(distance));
-    if (options.normalizeByPathLength)
-        distance /= static_cast<double>(n + m);
+    const DtwPair pair{a, b};
+    std::vector<double> rows;
+    double distance = 0.0;
+    dtwLanes<1>(&pair, n, m, dtwBandHalfWidth(n, m, options.bandFraction),
+                options, rows, &distance);
     return distance;
+}
+
+void
+dtwDistances(std::span<const DtwPair> pairs, const DtwOptions &options,
+             std::span<double> out)
+{
+    CM_ASSERT(out.size() == pairs.size());
+    if (pairs.empty())
+        return;
+    const std::size_t n = pairs[0].a.size();
+    const std::size_t m = pairs[0].b.size();
+    CM_ASSERT(n > 0 && m > 0);
+    for (const DtwPair &pair : pairs)
+        CM_ASSERT(pair.a.size() == n && pair.b.size() == m);
+    const std::size_t band = dtwBandHalfWidth(n, m, options.bandFraction);
+    std::vector<double> rows;
+    std::size_t k = 0;
+    for (; k + kDtwLanes <= pairs.size(); k += kDtwLanes)
+        dtwLanes<kDtwLanes>(&pairs[k], n, m, band, options, rows, &out[k]);
+    for (; k < pairs.size(); ++k)
+        dtwLanes<1>(&pairs[k], n, m, band, options, rows, &out[k]);
 }
 
 double

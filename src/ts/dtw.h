@@ -69,6 +69,25 @@ double dtwDistance(std::span<const double> a, std::span<const double> b,
 double dtwDistance(const TimeSeries &a, const TimeSeries &b,
                    const DtwOptions &options = {});
 
+/** One (a, b) pair of a dtwDistances batch. */
+struct DtwPair
+{
+    std::span<const double> a;
+    std::span<const double> b;
+};
+
+/**
+ * DTW distances of pairs that share one shape: every `a` has the same
+ * length n >= 1 and every `b` the same length m >= 1. Full blocks of
+ * four pairs run in lockstep, one lane each, so their serial cell
+ * chains overlap; the rest run one at a time. out[k] equals
+ * dtwDistance(pairs[k].a, pairs[k].b, options) bit for bit.
+ *
+ * @param out one slot per pair
+ */
+void dtwDistances(std::span<const DtwPair> pairs, const DtwOptions &options,
+                  std::span<double> out);
+
 /**
  * DTW with path recovery (needed for alignment inspection and tests).
  */

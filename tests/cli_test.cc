@@ -240,6 +240,54 @@ TEST(Cli, ProfileWritesJsonAndDb)
     std::filesystem::remove(db_path);
 }
 
+TEST(Cli, ClusterSkipsRunsWithNonFiniteSignatureSamples)
+{
+    // Injected NaNs land in counter series, never in IPC. A run whose
+    // signature series holds one is ineligible, and the skip says why.
+    const std::string db_path = "/tmp/cminer_cli_nan.cmdb";
+    const std::string event = "BR_INST_RETIRED.ALL_BRANCHES";
+    std::string output;
+    ASSERT_EQ(cli::run({"profile", "sort", "--runs", "6", "--min-events",
+                        "196", "--inject-faults", "nan=0.0005,seed=7",
+                        "--db", db_path},
+                       output),
+              0)
+        << output;
+
+    output.clear();
+    EXPECT_EQ(cli::run({"cluster", db_path, "--k", "2", "--event", event},
+                       output),
+              0)
+        << output;
+    EXPECT_NE(output.find("clustered"), std::string::npos) << output;
+    EXPECT_NE(output.find("series has a non-finite sample"),
+              std::string::npos)
+        << output;
+
+    output.clear();
+    EXPECT_EQ(cli::run({"cluster", db_path, "--k", "2"}, output), 0)
+        << output;
+    EXPECT_EQ(output.find("non-finite"), std::string::npos) << output;
+    std::filesystem::remove(db_path);
+
+    // Every run poisoned: the refusal carries the reason too.
+    output.clear();
+    ASSERT_EQ(cli::run({"profile", "sort", "--runs", "2", "--min-events",
+                        "196", "--inject-faults", "nan=0.05,seed=7",
+                        "--db", db_path},
+                       output),
+              0)
+        << output;
+    output.clear();
+    EXPECT_EQ(cli::run({"cluster", db_path, "--k", "2", "--event", event},
+                       output),
+              1);
+    EXPECT_NE(output.find("series has a non-finite sample"),
+              std::string::npos)
+        << output;
+    std::filesystem::remove(db_path);
+}
+
 TEST(Cli, CleanRoundTripsPerfLog)
 {
     // Write a perf-style log with missing values, clean it via the CLI,

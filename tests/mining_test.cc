@@ -14,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,7 @@
 #include "pmu/event.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/transport.h"
 #include "store/database.h"
 #include "ts/dtw.h"
 #include "ts/lb_keogh.h"
@@ -165,16 +169,27 @@ TEST(MiningDistance, MatrixSymmetricZeroDiagonalThreadInvariant)
 
 TEST(MiningDistance, MatrixMatchesDirectDtw)
 {
-    const auto signatures = plantedSignatures(6, 48, 2, 0xd15c);
-    mining::SignatureOptions options;
-    options.length = 48;
-    const auto matrix = mining::dtwDistanceMatrix(signatures, options);
-    for (std::size_t i = 0; i < signatures.size(); ++i) {
-        for (std::size_t j = i + 1; j < signatures.size(); ++j) {
-            const double direct = mining::signatureDistance(
-                signatures[i], signatures[j], options);
-            EXPECT_EQ(matrix[i * signatures.size() + j], direct)
-                << "pair " << i << "," << j;
+    // Counts around the lane width: a single pair, part blocks, one
+    // full block, and full blocks with a tail.
+    for (const std::size_t count : {2u, 3u, 4u, 5u, 9u}) {
+        const auto signatures = plantedSignatures(count, 48, 2, 0xd15c);
+        for (const double band : {0.0, 0.1, 1.0}) {
+            mining::SignatureOptions options;
+            options.length = 48;
+            options.bandFraction = band;
+            const auto matrix =
+                mining::dtwDistanceMatrix(signatures, options);
+            for (std::size_t i = 0; i < count; ++i) {
+                for (std::size_t j = i + 1; j < count; ++j) {
+                    const double direct = mining::signatureDistance(
+                        signatures[i], signatures[j], options);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                                  matrix[i * count + j]),
+                              std::bit_cast<std::uint64_t>(direct))
+                        << count << " signatures, band " << band
+                        << ", pair " << i << "," << j;
+                }
+            }
         }
     }
 }
@@ -457,6 +472,12 @@ TEST(ClusterArtifact, SaveRejectsStructurallyInvalidArtifacts)
     bad_band.signature.bandFraction = 1.5;
     EXPECT_FALSE(mining::saveClusterArtifact(bad_band, path).ok());
 
+    // A medoid signature feeds DTW on every score, which needs it
+    // finite; load shares this validation.
+    auto non_finite = makeClusterArtifact();
+    non_finite.families[0].signature[3] = std::nan("");
+    EXPECT_FALSE(mining::saveClusterArtifact(non_finite, path).ok());
+
     // An uncalibrated artifact (thresholds zero) is a valid save —
     // scoring refuses it, persistence does not.
     EXPECT_TRUE(
@@ -699,6 +720,25 @@ TEST(AnomalyScorer, ScoreValidatesShapes)
                      .ok());
     // zero rows
     EXPECT_FALSE(bundle.scorer->score({}, 0, {}).ok());
+    // a non-finite measured sample: DTW needs a finite signature, so
+    // the request is refused by name instead of reaching it
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {std::nan(""), inf, -inf}) {
+        std::vector<double> poisoned = measured;
+        poisoned[5] = bad;
+        const auto scored = bundle.scorer->score(
+            std::vector<double>(24, 1.0), 8, poisoned);
+        ASSERT_FALSE(scored.ok()) << bad;
+        EXPECT_EQ(scored.status().code(), util::StatusCode::DataError);
+        EXPECT_NE(scored.status().toString().find("row 5"),
+                  std::string::npos)
+            << scored.status().toString();
+    }
+    // finite samples whose z-normalization overflows
+    const auto huge = bundle.scorer->score(
+        std::vector<double>(24, 1.0), 8, std::vector<double>(8, 1e308));
+    ASSERT_FALSE(huge.ok());
+    EXPECT_EQ(huge.status().code(), util::StatusCode::DataError);
 }
 
 TEST(AnomalyScorer, RoundTripsThroughCheckpointBitIdentical)
@@ -859,6 +899,76 @@ TEST(ServeScore, EventListMismatchIsDataError)
     const auto response = submitScore(server, request);
     EXPECT_EQ(response.code, util::StatusCode::DataError);
     server.drain();
+}
+
+TEST(ServeScore, NonFiniteMeasuredIsDataErrorAndConnectionLives)
+{
+    const auto bundle = buildScorerBundle(4, 1);
+    serve::ServerOptions options;
+    options.batchWindowMs = 0.05;
+    serve::Server server(options);
+    server.registerScorer("toy", bundle.scorer);
+    server.registerModel("toy", *bundle.model);
+
+    std::vector<double> values;
+    std::vector<double> measured;
+    std::size_t rows = 0;
+    gatherWireRun(bundle.db.snapshot(), bundle.testIds.front(), values,
+                  measured, rows);
+
+    // One connection: a score frame with a NaN IPC sample, then a
+    // predict. The first is refused; the daemon answers the second.
+    std::ostringstream frames;
+    serve::StreamFrameSink client_out(frames);
+    serve::ScoreRequest score;
+    score.id = 1;
+    score.scorer = "toy";
+    score.events = bundle.model->events;
+    score.rowCount = rows;
+    score.values = values;
+    score.measured = measured;
+    score.measured[rows / 2] = std::nan("");
+    ASSERT_TRUE(
+        client_out.write(serve::encodeRequest(serve::Request(score)))
+            .ok());
+    serve::PredictRequest predict;
+    predict.id = 2;
+    predict.model = "toy";
+    predict.events = bundle.model->events;
+    predict.rowCount = rows;
+    predict.values = values;
+    ASSERT_TRUE(
+        client_out.write(serve::encodeRequest(serve::Request(predict)))
+            .ok());
+
+    std::istringstream in(frames.str());
+    serve::StreamFrameSource source(in);
+    std::ostringstream out;
+    serve::StreamFrameSink sink(out);
+    const auto result = serve::serveConnection(server, source, sink);
+    server.drain();
+    EXPECT_EQ(result.framesRead, 2u);
+
+    std::istringstream answers(out.str());
+    serve::StreamFrameSource responses(answers);
+    std::map<std::uint64_t, serve::Response> by_id;
+    for (;;) {
+        std::string payload;
+        bool eof = false;
+        ASSERT_TRUE(responses.next(payload, eof).ok());
+        if (eof)
+            break;
+        auto decoded = serve::decodeResponse(std::move(payload));
+        ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+        by_id[decoded.value().id] = std::move(decoded).value();
+    }
+    ASSERT_EQ(by_id.size(), 2u);
+    EXPECT_EQ(by_id.at(1).code, util::StatusCode::DataError);
+    EXPECT_NE(by_id.at(1).message.find("not finite"), std::string::npos)
+        << by_id.at(1).message;
+    EXPECT_EQ(by_id.at(2).code, util::StatusCode::Ok)
+        << by_id.at(2).message;
+    EXPECT_EQ(by_id.at(2).predictions.size(), rows);
 }
 
 TEST(ServeScore, FlagsFaultInjectedRunsAtLowFalsePositiveRate)

@@ -184,18 +184,9 @@ TEST(SimdKernels, BlockedReductionsBitIdenticalAcrossLevels)
             const auto b = unaligned(storage_b, b_vec);
 
             simd::setLevel(Level::Scalar);
-            const double ref_sum = simd::sum(a);
-            const double ref_sq = simd::sumSquares(a);
             const double ref_dist = simd::squaredDistance(a, b);
 
             forEachLevel([&](Level level) {
-                EXPECT_TRUE(reductionBitsEqual(simd::sum(a), ref_sum))
-                    << "sum n=" << n << " level="
-                    << simd::levelName(level);
-                EXPECT_TRUE(
-                    reductionBitsEqual(simd::sumSquares(a), ref_sq))
-                    << "sumSquares n=" << n << " level="
-                    << simd::levelName(level);
                 EXPECT_TRUE(reductionBitsEqual(
                     simd::squaredDistance(a, b), ref_dist))
                     << "squaredDistance n=" << n << " level="
@@ -234,15 +225,15 @@ TEST(SimdKernels, LbKeoghSumBitIdenticalAcrossLevels)
 
 TEST(SimdKernels, BlockedSumWithinUlpsOfNaiveLeftFold)
 {
+    // squaredDistance against an all-zero partner: v - 0.0 is exact,
+    // so this is the four-lane blocked sum of v * v.
     SimdLevelGuard guard;
     cminer::util::Rng rng(0x5eedf01d);
     for (const std::size_t n : kLengths) {
         std::vector<double> values(n);
         for (auto &v : values)
             v = rng.uniform(1.0, 2.0);
-        double naive = 0.0;
-        for (double v : values)
-            naive += v;
+        const std::vector<double> zeros(n, 0.0);
         double naive_sq = 0.0;
         for (double v : values)
             naive_sq += v * v;
@@ -250,9 +241,7 @@ TEST(SimdKernels, BlockedSumWithinUlpsOfNaiveLeftFold)
             // The blocked schedule only reassociates additions of
             // well-conditioned positive terms: agreement stays within
             // a few ULP of the left fold.
-            EXPECT_NEAR(simd::sum(values), naive,
-                        1e-12 * std::max(1.0, std::abs(naive)));
-            EXPECT_NEAR(simd::sumSquares(values), naive_sq,
+            EXPECT_NEAR(simd::squaredDistance(values, zeros), naive_sq,
                         1e-12 * std::max(1.0, std::abs(naive_sq)));
         });
     }
@@ -263,15 +252,17 @@ TEST(SimdKernels, SumPermutationInvariantOnExactPayloads)
     SimdLevelGuard guard;
     cminer::util::Rng rng(0x9e3779b9);
     for (const std::size_t n : {16u, 64u, 1000u}) {
-        // Small integers sum exactly, so any block schedule and any
-        // permutation must give the same bits at every level.
+        // Squares of small integers sum exactly, so any block schedule
+        // and any permutation must give the same bits at every level.
+        // The all-zero partner makes squaredDistance a sum of squares.
         std::vector<double> values(n);
         for (auto &v : values)
             v = static_cast<double>(rng.uniformInt(-1000, 1000));
+        const std::vector<double> zeros(n, 0.0);
         const double expected = [&] {
             double s = 0.0;
             for (double v : values)
-                s += v;
+                s += v * v;
             return s;
         }();
         for (int shuffle = 0; shuffle < 4; ++shuffle) {
@@ -281,7 +272,8 @@ TEST(SimdKernels, SumPermutationInvariantOnExactPayloads)
                 std::swap(values[i - 1], values[j]);
             }
             forEachLevel([&](Level level) {
-                EXPECT_TRUE(bitsEqual(simd::sum(values), expected))
+                EXPECT_TRUE(
+                    bitsEqual(simd::squaredDistance(values, zeros), expected))
                     << "n=" << n << " level=" << simd::levelName(level);
             });
         }

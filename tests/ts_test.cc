@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -186,41 +187,67 @@ TEST(Dtw, DistanceMatchesFullMatrixBitForBit)
         const auto m = static_cast<std::size_t>(rng.uniformInt(1, 301));
         shapes.emplace_back(n, m);
     }
-    auto expectSameBits = [](const std::vector<double> &a,
-                             const std::vector<double> &b,
-                             const char *what) {
+    // Nine pairs per shape. Even pairs are uniform noise. Odd pairs
+    // are a ramp against a curve that rises early: the cheapest path
+    // runs along the band's left edge, next to the cells that the row
+    // two back left behind. The one-pair path, and dtwDistances over
+    // the first 1..9 pairs (full lockstep blocks, one-lane tails, and
+    // lanes holding different pairs), must match the full matrix.
+    constexpr std::size_t pair_count = 9;
+    for (const auto &[n, m] : shapes) {
+        std::vector<std::vector<double>> as(pair_count,
+                                            std::vector<double>(n));
+        std::vector<std::vector<double>> bs(pair_count,
+                                            std::vector<double>(m));
+        std::vector<DtwPair> pairs;
+        for (std::size_t k = 0; k < pair_count; ++k) {
+            if (k % 2 == 0) {
+                for (auto &v : as[k])
+                    v = rng.uniform(-2.0, 2.0);
+                for (auto &v : bs[k])
+                    v = rng.uniform(-2.0, 2.0);
+            } else {
+                const double slope = k == 1 ? 1.0 : rng.uniform(0.5, 1.5);
+                for (std::size_t i = 0; i < n; ++i)
+                    as[k][i] = slope * static_cast<double>(i) /
+                               static_cast<double>(n);
+                for (std::size_t j = 0; j < m; ++j)
+                    bs[k][j] = std::sqrt(static_cast<double>(j) /
+                                         static_cast<double>(m));
+            }
+            pairs.push_back({as[k], bs[k]});
+        }
         for (const double fraction : {0.0, 0.02, 0.1, 0.5, 1.0}) {
             for (const bool normalize : {false, true}) {
                 DtwOptions options;
                 options.bandFraction = fraction;
                 options.normalizeByPathLength = normalize;
-                const double fused = dtwDistance(a, b, options);
-                const double full = dtwAlign(a, b, options).distance;
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(fused),
-                          std::bit_cast<std::uint64_t>(full))
-                    << what << " " << a.size() << "x" << b.size()
-                    << " band " << fraction << " normalize " << normalize
-                    << ": " << fused << " vs " << full;
+                std::vector<std::uint64_t> full;
+                for (std::size_t k = 0; k < pair_count; ++k) {
+                    full.push_back(std::bit_cast<std::uint64_t>(
+                        dtwAlign(as[k], bs[k], options).distance));
+                    const double fused =
+                        dtwDistance(as[k], bs[k], options);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(fused),
+                              full[k])
+                        << "pair " << k << " " << n << "x" << m
+                        << " band " << fraction << " normalize "
+                        << normalize;
+                }
+                for (std::size_t batch = 1; batch <= pair_count;
+                     ++batch) {
+                    std::vector<double> out(batch);
+                    dtwDistances(std::span(pairs).first(batch), options,
+                                 out);
+                    for (std::size_t k = 0; k < batch; ++k)
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[k]),
+                                  full[k])
+                            << "batch " << batch << " pair " << k << " "
+                            << n << "x" << m << " band " << fraction
+                            << " normalize " << normalize;
+                }
             }
         }
-    };
-    for (const auto &[n, m] : shapes) {
-        std::vector<double> a(n);
-        std::vector<double> b(m);
-        for (auto &v : a)
-            v = rng.uniform(-2.0, 2.0);
-        for (auto &v : b)
-            v = rng.uniform(-2.0, 2.0);
-        expectSameBits(a, b, "uniform");
-        // A ramp against a curve that rises early: the cheapest path
-        // runs along the band's left edge, next to the cells that the
-        // row two back left behind.
-        for (std::size_t i = 0; i < n; ++i)
-            a[i] = static_cast<double>(i) / static_cast<double>(n);
-        for (std::size_t j = 0; j < m; ++j)
-            b[j] = std::sqrt(static_cast<double>(j) /
-                             static_cast<double>(m));
-        expectSameBits(a, b, "edge");
     }
 }
 
