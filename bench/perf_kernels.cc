@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <new>
 #include <optional>
 
@@ -700,6 +702,44 @@ BM_ServeDecodePredict(benchmark::State &state)
 }
 BENCHMARK(BM_ServeDecodePredict)->Arg(1)->Arg(64)->Arg(1024);
 
+/** A 50-tree MAPM over 16 events and the rows it was fit on. */
+struct ServeBench
+{
+    ml::Dataset data;
+    core::MapmArtifact artifact;
+};
+
+ServeBench
+makeServeBench()
+{
+    ServeBench bench;
+    bench.data = gbrtBenchData(16, 256);
+    ml::GbrtParams params;
+    params.treeCount = 50;
+    ml::Gbrt model(params);
+    util::Rng rng(21);
+    model.fit(bench.data, rng);
+    bench.artifact.benchmark = "bench";
+    bench.artifact.microarch = "haswell-e";
+    bench.artifact.events = bench.data.featureNames();
+    bench.artifact.model = std::move(model);
+    return bench;
+}
+
+/** An encoded one-row predict of row `row` of the bench data. */
+std::string
+onePredictPayload(const ServeBench &bench, std::size_t row)
+{
+    serve::PredictRequest request;
+    request.id = row + 1;
+    request.model = "bench";
+    request.events = bench.data.featureNames();
+    request.rowCount = 1;
+    request.values =
+        ml::DatasetView(bench.data).row(row % bench.data.rowCount());
+    return serve::encodeRequest(serve::Request(std::move(request)));
+}
+
 // Admission -> batch -> score -> respond for single-row requests, the
 // worst case for batching overhead: how much daemon machinery costs on
 // top of the bare Gbrt::predictAll the CLI path uses.
@@ -707,37 +747,18 @@ void
 BM_ServeBatchPipeline(benchmark::State &state)
 {
     const std::size_t burst = static_cast<std::size_t>(state.range(0));
-    ml::Dataset data = gbrtBenchData(16, 256);
-    ml::GbrtParams params;
-    params.treeCount = 50;
-    ml::Gbrt model(params);
-    util::Rng rng(21);
-    model.fit(data, rng);
-
-    core::MapmArtifact artifact;
-    artifact.benchmark = "bench";
-    artifact.microarch = "haswell-e";
-    artifact.events = data.featureNames();
-    artifact.model = std::move(model);
+    ServeBench bench = makeServeBench();
 
     serve::ServerOptions options;
     options.startBatcher = false;
     options.queueCap = burst;
     options.maxBatchRows = burst;
     serve::Server server(options);
-    server.registerModel("bench", std::move(artifact));
+    server.registerModel("bench", std::move(bench.artifact));
 
     std::vector<std::string> payloads;
-    for (std::size_t i = 0; i < burst; ++i) {
-        serve::PredictRequest request;
-        request.id = i + 1;
-        request.model = "bench";
-        request.events = data.featureNames();
-        request.rowCount = 1;
-        request.values = ml::DatasetView(data).row(i % data.rowCount());
-        payloads.push_back(
-            serve::encodeRequest(serve::Request(std::move(request))));
-    }
+    for (std::size_t i = 0; i < burst; ++i)
+        payloads.push_back(onePredictPayload(bench, i));
 
     std::size_t responses = 0;
     for (auto _ : state) {
@@ -755,6 +776,41 @@ BM_ServeBatchPipeline(benchmark::State &state)
         state.SkipWithError("response count mismatch");
 }
 BENCHMARK(BM_ServeBatchPipeline)->Arg(16)->Arg(256)->UseRealTime();
+
+// One one-row predict through submitFrame and the running batcher
+// thread, timed until its response arrives: what an idle daemon adds
+// to a request before the socket. BM_ServeBatchPipeline pumps the
+// batcher by hand, so only this benchmark sees the batcher's wait.
+void
+BM_ServeRoundTrip(benchmark::State &state)
+{
+    ServeBench bench = makeServeBench();
+    const std::string payload = onePredictPayload(bench, 0);
+
+    std::mutex mutex;
+    std::condition_variable answered;
+    std::size_t responses = 0;
+    std::string last;
+    serve::Server server; // default options: the batcher thread runs
+    server.registerModel("bench", std::move(bench.artifact));
+
+    std::size_t sent = 0;
+    for (auto _ : state) {
+        ++sent;
+        server.submitFrame(payload, [&](std::string response) {
+            std::lock_guard<std::mutex> lock(mutex);
+            last = std::move(response);
+            ++responses;
+            answered.notify_one();
+        });
+        std::unique_lock<std::mutex> lock(mutex);
+        answered.wait(lock, [&] { return responses == sent; });
+    }
+    auto decoded = serve::decodeResponse(last);
+    if (!decoded.ok() || decoded.value().code != util::StatusCode::Ok)
+        state.SkipWithError("predict failed");
+}
+BENCHMARK(BM_ServeRoundTrip)->UseRealTime();
 
 // --- out-of-core segment store -------------------------------------------
 // Twin benchmarks over the same synthetic fleet: Arg(0) keeps every run

@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -42,48 +43,86 @@ namespace cminer::cli {
 
 namespace {
 
-/** Parsed flags: --name value and boolean --name. */
+/** Flags every command takes: run() reads them before dispatching. */
+const std::vector<std::string> global_flags = {"threads", "trace-out",
+                                               "metrics-out"};
+
+/**
+ * Parsed flags of one command: --name value and boolean --name. The
+ * parser admits only the flags the command reads (its list plus
+ * global_flags), so a mistyped or retired flag is an error instead of
+ * being ignored; a getter asked for a name outside that list is a bug
+ * in the command, not in its input.
+ */
 struct Flags
 {
+    /** The flags the command reads, global_flags included. */
+    std::vector<std::string> accepted;
     std::vector<std::string> positional;
     std::map<std::string, std::string> named;
 
+    bool accepts(const std::string &name) const
+    {
+        return std::find(accepted.begin(), accepted.end(), name) !=
+               accepted.end();
+    }
+
     bool has(const std::string &name) const
     {
-        return named.count(name) > 0;
+        return find(name) != nullptr;
     }
 
     std::string
     get(const std::string &name, const std::string &fallback) const
     {
-        auto it = named.find(name);
-        return it != named.end() ? it->second : fallback;
+        const std::string *value = find(name);
+        return value != nullptr ? *value : fallback;
     }
 
-    std::int64_t
-    getInt(const std::string &name, std::int64_t fallback) const
+    /**
+     * An integer flag of at least `min`: the whole value must be a
+     * base-10 integer (std::from_chars, the rule CMINER_THREADS
+     * follows), so fractions, hex, exponents, nan and negative counts
+     * are errors rather than casts.
+     */
+    std::size_t
+    getInt(const std::string &name, std::size_t fallback,
+           std::size_t min) const
     {
-        auto it = named.find(name);
-        if (it == named.end())
+        const std::string *text = find(name);
+        if (text == nullptr)
             return fallback;
-        double value = 0.0;
-        if (!util::parseDouble(it->second, value))
-            util::fatal("--" + name + " expects a number, got '" +
-                        it->second + "'");
-        return static_cast<std::int64_t>(value);
+        std::size_t value = 0;
+        const char *end = text->data() + text->size();
+        const auto [stop, ec] = std::from_chars(text->data(), end, value);
+        if (ec != std::errc() || stop != end || value < min)
+            util::fatal(util::format("--%s expects an integer >= %zu, "
+                                     "got '%s'",
+                                     name.c_str(), min, text->c_str()));
+        return value;
     }
 
+    /** A finite floating-point flag. */
     double
     getDouble(const std::string &name, double fallback) const
     {
-        auto it = named.find(name);
-        if (it == named.end())
+        const std::string *text = find(name);
+        if (text == nullptr)
             return fallback;
         double value = 0.0;
-        if (!util::parseDouble(it->second, value))
-            util::fatal("--" + name + " expects a number, got '" +
-                        it->second + "'");
+        if (!util::parseDouble(*text, value) || !std::isfinite(value))
+            util::fatal("--" + name + " expects a finite number, got '" +
+                        *text + "'");
         return value;
+    }
+
+  private:
+    const std::string *
+    find(const std::string &name) const
+    {
+        CM_ASSERT(accepts(name));
+        auto it = named.find(name);
+        return it != named.end() ? &it->second : nullptr;
     }
 };
 
@@ -92,13 +131,23 @@ bool
 isBooleanFlag(const std::string &name)
 {
     return name == "skip-cleaning" || name == "lenient" ||
-           name == "pipe" || name == "help" || name == "mine";
+           name == "pipe" || name == "mine" || name == "allow-empty";
 }
 
+/**
+ * Parse args[first..] for `command`, which reads the flags in
+ * `accepted` (global_flags aside). Any other flag is an error before
+ * the command does any work.
+ */
 Flags
-parseFlags(const std::vector<std::string> &args, std::size_t first)
+parseFlags(const std::vector<std::string> &args, std::size_t first,
+           const std::string &command,
+           const std::vector<std::string> &accepted)
 {
     Flags flags;
+    flags.accepted = accepted;
+    flags.accepted.insert(flags.accepted.end(), global_flags.begin(),
+                          global_flags.end());
     for (std::size_t i = first; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (util::startsWith(arg, "--")) {
@@ -106,8 +155,11 @@ parseFlags(const std::vector<std::string> &args, std::size_t first)
             // --name=value binds tighter than the separate-token form
             // and works for any flag, boolean or not.
             const auto eq = name.find('=');
+            const std::string key = name.substr(0, eq);
+            if (!flags.accepts(key))
+                util::fatal(command + " does not take --" + key);
             if (eq != std::string::npos) {
-                flags.named[name.substr(0, eq)] = name.substr(eq + 1);
+                flags.named[key] = name.substr(eq + 1);
             } else if (isBooleanFlag(name)) {
                 flags.named[name] = "true";
             } else {
@@ -236,7 +288,7 @@ resolveBenchmark(const std::string &name)
 }
 
 int
-cmdListBenchmarks(std::string &output)
+cmdListBenchmarks(const Flags &, std::string &output)
 {
     const auto &suite = workload::BenchmarkSuite::instance();
     util::TablePrinter table({"benchmark", "suite", "top planted events"});
@@ -285,13 +337,10 @@ cmdProfile(const Flags &flags, std::string &output)
 
     core::ProfileOptions options;
     options.backend = getBackendFlag(flags);
-    options.mlpxRuns =
-        static_cast<std::size_t>(flags.getInt("runs", 2));
-    options.importance.minEvents =
-        static_cast<std::size_t>(flags.getInt("min-events", 96));
+    options.mlpxRuns = flags.getInt("runs", 2, 1);
+    options.importance.minEvents = flags.getInt("min-events", 96, 0);
     options.skipCleaning = flags.has("skip-cleaning");
-    options.maxBadRuns =
-        static_cast<std::size_t>(flags.getInt("max-bad-runs", 0));
+    options.maxBadRuns = flags.getInt("max-bad-runs", 0, 0);
     options.maxBadFraction = flags.getDouble("max-bad-fraction", 0.5);
     if (options.maxBadFraction < 0.0 || options.maxBadFraction > 1.0)
         util::fatal("--max-bad-fraction expects a value in [0, 1]");
@@ -308,7 +357,7 @@ cmdProfile(const Flags &flags, std::string &output)
 
     store::Database db("haswell-e");
     core::CounterMiner miner(db, pmu::EventCatalog::instance(), options);
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
+    util::Rng rng(flags.getInt("seed", 42, 0));
     const auto report = miner.profile(benchmark, rng);
 
     output += util::format(
@@ -388,14 +437,12 @@ cmdCollect(const Flags &flags, std::string &output)
               collector.backend().name() + "\n";
 
     auto events = catalog.programmableEvents();
-    const auto event_count =
-        static_cast<std::size_t>(flags.getInt("events", 16));
+    const std::size_t event_count = flags.getInt("events", 16, 1);
     if (events.size() > event_count)
         events.resize(event_count);
 
-    const auto runs =
-        static_cast<std::size_t>(flags.getInt("runs", 1));
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
+    const std::size_t runs = flags.getInt("runs", 1, 1);
+    util::Rng rng(flags.getInt("seed", 42, 0));
     std::size_t recorded = 0;
     double ipc_total = 0.0;
     double interval_total = 0.0;
@@ -485,14 +532,12 @@ cmdMapm(const Flags &flags, std::string &output)
 
     core::ProfileOptions options;
     options.backend = getBackendFlag(flags);
-    options.mlpxRuns =
-        static_cast<std::size_t>(flags.getInt("runs", 2));
-    options.importance.minEvents =
-        static_cast<std::size_t>(flags.getInt("min-events", 96));
+    options.mlpxRuns = flags.getInt("runs", 2, 1);
+    options.importance.minEvents = flags.getInt("min-events", 96, 0);
 
     store::Database db("haswell-e");
     core::CounterMiner miner(db, pmu::EventCatalog::instance(), options);
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
+    util::Rng rng(flags.getInt("seed", 42, 0));
     auto report = miner.profile(benchmark, rng);
 
     output += util::format(
@@ -704,7 +749,7 @@ cmdError(const Flags &flags, std::string &output)
     store::Database db;
     core::DataCollector collector(db, catalog);
     const core::DataCleaner cleaner;
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 7)));
+    util::Rng rng(flags.getInt("seed", 7, 0));
 
     const auto imc = catalog.idOf("ICACHE.MISSES");
     std::vector<pmu::EventId> events = {imc};
@@ -833,11 +878,8 @@ cmdCluster(const Flags &flags, std::string &output)
 
     mining::SignatureOptions signature;
     signature.event = flags.get("event", signature.event);
-    signature.length = static_cast<std::size_t>(
-        flags.getInt("signature-length",
-                     static_cast<std::int64_t>(signature.length)));
-    if (signature.length < 2)
-        util::fatal("--signature-length expects a value >= 2");
+    signature.length =
+        flags.getInt("signature-length", signature.length, 2);
     signature.bandFraction =
         flags.getDouble("band", signature.bandFraction);
     if (signature.bandFraction < 0.0 || signature.bandFraction > 1.0)
@@ -901,12 +943,8 @@ cmdCluster(const Flags &flags, std::string &output)
         mining::dtwDistanceMatrix(signatures, signature);
 
     mining::KMedoidsOptions cluster_options;
-    cluster_options.k =
-        static_cast<std::size_t>(flags.getInt("k", 2));
-    if (cluster_options.k < 1)
-        util::fatal("--k expects a cluster count >= 1");
-    const auto seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 42));
+    cluster_options.k = flags.getInt("k", 2, 1);
+    const std::uint64_t seed = flags.getInt("seed", 42, 0);
     util::Rng rng(seed);
     const mining::KMedoidsResult clusters =
         mining::kMedoids(matrix, ids.size(), cluster_options, rng);
@@ -960,8 +998,7 @@ cmdCluster(const Flags &flags, std::string &output)
     // dataset build needs one homogeneous list with IPC last).
     if (flags.has("mine")) {
         core::ImportanceOptions mine_options;
-        mine_options.minEvents = static_cast<std::size_t>(
-            flags.getInt("min-events", 96));
+        mine_options.minEvents = flags.getInt("min-events", 96, 0);
         const core::ImportanceRanker ranker(mine_options);
         for (std::size_t f = 0; f < clusters.medoids.size(); ++f) {
             const auto &medoid_events =
@@ -1060,18 +1097,18 @@ int
 cmdServe(const Flags &flags, std::string &output)
 {
     serve::ServerOptions options;
-    options.queueCap =
-        static_cast<std::size_t>(flags.getInt("queue-cap", 64));
-    options.maxBatchRows =
-        static_cast<std::size_t>(flags.getInt("batch-rows", 256));
-    options.batchWindowMs = flags.getDouble("batch-window-ms", 0.5);
+    options.queueCap = flags.getInt("queue-cap", 64, 1);
+    options.maxBatchRows = flags.getInt("batch-rows", 256, 1);
     options.defaultDeadlineMs = flags.getDouble("deadline-ms", 0.0);
-    options.mineQueueCap =
-        static_cast<std::size_t>(flags.getInt("mine-queue-cap", 1));
+    if (options.defaultDeadlineMs < 0.0)
+        util::fatal("--deadline-ms expects a value >= 0");
+    options.mineQueueCap = flags.getInt("mine-queue-cap", 1, 0);
     options.storeDir = flags.get("store-dir", "");
-    options.storeMemoryBudgetBytes =
-        static_cast<std::size_t>(flags.getInt("memory-budget-mb", 64))
-        << 20;
+    const std::size_t budget_mb = flags.getInt("memory-budget-mb", 64, 0);
+    if (budget_mb > (SIZE_MAX >> 20))
+        util::fatal("--memory-budget-mb " + std::to_string(budget_mb) +
+                    " overflows a byte count");
+    options.storeMemoryBudgetBytes = budget_mb << 20;
     options.backend = getBackendFlag(flags);
 
     serve::Server server(options);
@@ -1204,6 +1241,46 @@ cmdServe(const Flags &flags, std::string &output)
     return 0;
 }
 
+/** One command: its entry point and the flags it reads. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Flags &, std::string &);
+    std::vector<std::string> flags;
+};
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"list-benchmarks", cmdListBenchmarks, {}},
+        {"list-events", cmdListEvents, {"category"}},
+        {"profile", cmdProfile,
+         {"backend", "runs", "min-events", "skip-cleaning",
+          "max-bad-runs", "max-bad-fraction", "inject-faults", "seed",
+          "json", "db"}},
+        {"collect", cmdCollect,
+         {"interval-ms", "backend", "mode", "events", "runs", "seed",
+          "watch", "db"}},
+        {"mapm", cmdMapm,
+         {"backend", "runs", "min-events", "seed", "model-out", "db"}},
+        {"predict", cmdPredict, {"model", "mode", "out"}},
+        {"clean", cmdClean, {"lenient", "out"}},
+        {"explore", cmdExplore, {}},
+        {"error", cmdError, {"seed"}},
+        {"stats", cmdStats, {}},
+        {"cluster", cmdCluster,
+         {"store-dir", "event", "signature-length", "band", "mode", "k",
+          "seed", "mine", "min-events", "artifact-out", "model"}},
+        {"serve", cmdServe,
+         {"queue-cap", "batch-rows", "deadline-ms", "mine-queue-cap",
+          "store-dir", "memory-budget-mb", "backend", "model", "scorer",
+          "allow-empty", "socket", "pipe", "in", "out",
+          "inject-faults"}},
+    };
+    return table;
+}
+
 } // namespace
 
 std::string
@@ -1229,7 +1306,7 @@ usage()
            "                each collected run against a calibrated\n"
            "                anomaly scorer and reports verdicts\n"
            "  mapm <benchmark> [--model-out FILE] [--db FILE]\n"
-           "       [--runs N] [--seed S] [--min-events N]\n"
+           "       [--runs N] [--seed S] [--min-events N] [--backend B]\n"
            "                                  mine the MAPM and write a\n"
            "                model checkpoint for later serving\n"
            "  predict <db.cmdb> --model FILE [--out FILE] [--mode M]\n"
@@ -1259,11 +1336,13 @@ usage()
            "        [--scorer [NAME=]MODEL.ckpt:CLUSTERS.ckpt[,...]]\n"
            "        (--socket PATH | --pipe | --in FILE --out FILE)\n"
            "        [--queue-cap N] [--batch-rows N] [--deadline-ms D]\n"
-           "        [--batch-window-ms D] [--mine-queue-cap N]\n"
-           "        [--store-dir DIR] [--memory-budget-mb N]\n"
-           "        [--inject-faults SPEC]\n"
+           "        [--mine-queue-cap N] [--store-dir DIR]\n"
+           "        [--memory-budget-mb N] [--inject-faults SPEC]\n"
+           "        [--backend B] [--allow-empty]\n"
            "                                  deadline-aware serving\n"
-           "                daemon: batches concurrent predicts, sheds\n"
+           "                daemon: scores each predict as soon as the\n"
+           "                batcher is free (predicts that queue up\n"
+           "                meanwhile share the next batch), sheds\n"
            "                with CapacityError when the admission queue\n"
            "                is full, drains cleanly on a shutdown frame.\n"
            "                --store-dir mines into a persistent\n"
@@ -1271,19 +1350,24 @@ usage()
            "                memory follows --memory-budget-mb (default\n"
            "                64) instead of the accumulated runs\n"
            "\n"
-           "global options:\n"
-           "  --backend B   how counters are measured: 'sim' (default,\n"
+           "A flag the command does not take is an error, and so is a\n"
+           "malformed or out-of-range number (counts are integers).\n"
+           "\n"
+           "shared options:\n"
+           "  --backend B   (profile, collect, mapm, serve) how\n"
+           "                counters are measured: 'sim' (default,\n"
            "                the paper's simulated PMU, deterministic\n"
            "                per seed) or 'perf' (real perf_event_open\n"
            "                on Linux; probed at startup and falling\n"
            "                back to sim with a logged reason when\n"
            "                hardware counters are unavailable)\n"
-           "  --threads N   worker threads for the mining pipeline\n"
+           "  --threads N   (every command) worker threads for the\n"
+           "                mining pipeline\n"
            "                (default: CMINER_THREADS env var, else all\n"
            "                hardware threads; 1 = fully serial; results\n"
            "                are bit-identical for any value)\n"
            "\n"
-           "observability:\n"
+           "observability (every command):\n"
            "  --trace-out FILE    write a JSON tree of timed pipeline\n"
            "                phase spans (collect/clean/dataset/eir/...)\n"
            "  --metrics-out FILE  write pipeline counters, gauges and\n"
@@ -1314,48 +1398,26 @@ run(const std::vector<std::string> &args, std::string &output)
         output += usage();
         return args.empty() ? 1 : 0;
     }
-    const std::string &command = args.front();
-    try {
-        const Flags flags = parseFlags(args, 1);
-        if (flags.has("threads")) {
-            const std::int64_t threads = flags.getInt("threads", 0);
-            if (threads < 1)
-                util::fatal("--threads expects a count >= 1");
-            util::Parallelism::setThreadCount(
-                static_cast<std::size_t>(threads));
-        }
-        ObservabilityScope observability(flags);
-        const auto finish = [&](int code) {
-            if (code == 0)
-                observability.writeReports(output);
-            return code;
-        };
-        if (command == "list-benchmarks")
-            return finish(cmdListBenchmarks(output));
-        if (command == "list-events")
-            return finish(cmdListEvents(flags, output));
-        if (command == "profile")
-            return finish(cmdProfile(flags, output));
-        if (command == "collect")
-            return finish(cmdCollect(flags, output));
-        if (command == "mapm")
-            return finish(cmdMapm(flags, output));
-        if (command == "predict")
-            return finish(cmdPredict(flags, output));
-        if (command == "clean")
-            return finish(cmdClean(flags, output));
-        if (command == "explore")
-            return finish(cmdExplore(flags, output));
-        if (command == "error")
-            return finish(cmdError(flags, output));
-        if (command == "stats")
-            return finish(cmdStats(flags, output));
-        if (command == "cluster")
-            return finish(cmdCluster(flags, output));
-        if (command == "serve")
-            return finish(cmdServe(flags, output));
-        output += "unknown command '" + command + "'\n" + usage();
+    const auto &table = commands();
+    const auto command =
+        std::find_if(table.begin(), table.end(), [&](const Command &c) {
+            return args.front() == c.name;
+        });
+    if (command == table.end()) {
+        output += "unknown command '" + args.front() + "'\n" + usage();
         return 1;
+    }
+    try {
+        const Flags flags =
+            parseFlags(args, 1, command->name, command->flags);
+        if (flags.has("threads"))
+            util::Parallelism::setThreadCount(
+                flags.getInt("threads", 0, 1));
+        ObservabilityScope observability(flags);
+        const int code = command->run(flags, output);
+        if (code == 0)
+            observability.writeReports(output);
+        return code;
     } catch (const util::FatalError &e) {
         output += std::string("error: ") + e.what() + "\n";
         return 1;

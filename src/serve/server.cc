@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <exception>
 #include <utility>
@@ -940,34 +939,16 @@ Server::processBatch(std::vector<PendingPredict> batch)
 void
 Server::batcherLoop()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        batchWake_.wait(lock, [this] {
-            return stopping_ || !queue_.empty();
-        });
-        if (queue_.empty()) {
-            if (stopping_)
-                return;
-            continue;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            batchWake_.wait(lock, [this] {
+                return stopping_ || !queue_.empty();
+            });
+            if (queue_.empty())
+                return; // stopping, and nothing left to answer
         }
-        if (options_.batchWindowMs > 0.0 && !stopping_ && !draining_ &&
-            !underPressureLocked()) {
-            // Linger briefly so concurrent small requests coalesce;
-            // pressure or a drain cuts the wait short (degradation:
-            // smaller batches beat shed requests).
-            batchWake_.wait_for(
-                lock,
-                std::chrono::duration<double, std::milli>(
-                    options_.batchWindowMs),
-                [this] {
-                    return stopping_ || draining_ ||
-                           underPressureLocked();
-                });
-        }
-        auto batch = takeBatchLocked();
-        lock.unlock();
-        processBatch(std::move(batch));
-        lock.lock();
+        runBatchOnce();
     }
 }
 

@@ -20,17 +20,20 @@
  *     checked at admission, at dequeue, and before the response is
  *     written; a blown budget yields DeadlineExceeded, never a stale
  *     success.
- *  3. **Degrade before failing.** Under queue pressure the batcher
- *     stops waiting for fuller batches (smaller batches, lower
- *     latency, same results — scoring is per-row deterministic), and
- *     mining requests are refused while predict capacity remains.
+ *  3. **Degrade before failing.** Under queue pressure mining
+ *     requests are refused while predict capacity remains; predicts
+ *     are shed only once the admission queue is full.
  *  4. **Drain cleanly.** A shutdown request (or drain()) stops
  *     admissions, finishes every admitted request, and waits for the
  *     mining worker to go idle; nothing admitted is dropped.
  *
- * Batching: concurrent predict rows for the same model are coalesced
- * into one columnar block (ml::Dataset::fromColumns) and scored
+ * Batching is greedy: the batcher never waits for a batch to fill.
+ * Whenever it is free and predicts are queued, it takes the queued
+ * rows for one artifact snapshot (up to maxBatchRows), coalesces them
+ * into one columnar block (ml::Dataset::fromColumns) and scores it
  * through the zero-copy DatasetView path on the shared thread pool.
+ * Requests that arrive while a batch runs form the next one, so
+ * batches grow with load while an idle daemon answers at once.
  * Gbrt::predictAll is per-row independent and deterministic for any
  * thread count, so batch composition can never change a prediction —
  * the property the byte-identity acceptance test pins down.
@@ -75,13 +78,6 @@ struct ServerOptions
     std::size_t queueCap = 64;
     /** Row budget per columnar scoring batch. */
     std::size_t maxBatchRows = 256;
-    /**
-     * How long the batcher waits for more same-model rows after the
-     * first request arrives, in wall milliseconds. Skipped entirely
-     * under queue pressure (degradation: smaller batches beat shed
-     * requests). 0 disables the wait.
-     */
-    double batchWindowMs = 0.5;
     /**
      * Deadline applied to requests that carry none, in ms. 0 = no
      * default (such requests never expire).
@@ -247,8 +243,9 @@ class Server
                      std::function<void(std::string)> done);
 
     /**
-     * Manual batcher pump (startBatcher=false): run one batching
-     * round over the current queue.
+     * Run one batching round over the current queue. The batcher
+     * thread runs exactly this on each wakeup; with
+     * startBatcher=false it is the manual pump.
      * @return requests responded to in this round
      */
     std::size_t runBatchOnce();
@@ -334,7 +331,10 @@ class Server
     /** Score and respond to one group (no locks held). */
     std::size_t processBatch(std::vector<PendingPredict> batch);
 
-    /** True when queue pressure warrants skipping the batch window. */
+    /**
+     * True at half queue occupancy or more: the mining lane refuses
+     * new jobs (handleMine) so predicts keep their capacity.
+     */
     bool underPressureLocked() const;
 
     ServerOptions options_;

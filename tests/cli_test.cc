@@ -9,6 +9,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/cli.h"
 #include "core/counterminer.h"
@@ -193,6 +196,119 @@ TEST(Cli, UnknownBackendFailsListingChoices)
                   std::string::npos)
             << args.front() << ": " << output;
     }
+}
+
+TEST(Cli, FlagsTheCommandDoesNotTakeAreErrors)
+{
+    // A flag outside the command's list fails before any work; a
+    // mistyped filter must not print the whole catalog.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"list-benchmarks", "--bogus", "1"},
+             "error: list-benchmarks does not take --bogus\n"},
+            {{"list-events", "--categry", "cache"},
+             "error: list-events does not take --categry\n"},
+            {{"serve", "--batch-window-ms", "0.5"},
+             "error: serve does not take --batch-window-ms\n"},
+        };
+    for (const auto &[args, expected] : cases) {
+        std::string output;
+        EXPECT_EQ(cli::run(args, output), 1) << args.front();
+        EXPECT_EQ(output, expected) << args.front();
+    }
+}
+
+TEST(Cli, EveryCommandAcceptsTheFlagsItsUsageLists)
+{
+    // Each command with the flags its usage line lists; every command
+    // also takes the global --threads, --trace-out and --metrics-out.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        commands = {
+            {"list-benchmarks", {}},
+            {"list-events", {"category"}},
+            {"profile",
+             {"runs", "seed", "min-events", "skip-cleaning", "json", "db",
+              "inject-faults", "max-bad-runs", "max-bad-fraction",
+              "backend"}},
+            {"collect",
+             {"backend", "mode", "runs", "events", "interval-ms", "seed",
+              "db", "watch"}},
+            {"mapm",
+             {"model-out", "db", "runs", "seed", "min-events", "backend"}},
+            {"predict", {"model", "out", "mode"}},
+            {"clean", {"out", "lenient"}},
+            {"explore", {}},
+            {"error", {"seed"}},
+            {"stats", {}},
+            {"cluster",
+             {"store-dir", "k", "seed", "mode", "event",
+              "signature-length", "band", "mine", "min-events",
+              "artifact-out", "model"}},
+            {"serve",
+             {"model", "scorer", "socket", "pipe", "in", "out",
+              "queue-cap", "batch-rows", "deadline-ms", "mine-queue-cap",
+              "store-dir", "memory-budget-mb", "inject-faults", "backend",
+              "allow-empty"}},
+        };
+    const std::string help = cli::usage();
+    // Without their positional argument most commands stop before any
+    // work; the value is a path under a scratch directory so the ones
+    // that do write (a trace, a store) leave nothing behind.
+    const auto scratch =
+        std::filesystem::temp_directory_path() / "cminer_cli_flags";
+    std::filesystem::remove_all(scratch);
+    std::filesystem::create_directories(scratch);
+    for (const auto &[command, listed] : commands) {
+        EXPECT_NE(help.find("  " + command), std::string::npos) << command;
+        std::vector<std::string> flags = listed;
+        flags.insert(flags.end(), {"threads", "trace-out", "metrics-out"});
+        for (const auto &flag : flags) {
+            EXPECT_NE(help.find("--" + flag), std::string::npos) << flag;
+            const std::string value = (scratch / flag).string();
+            std::string output;
+            cli::run({command, "--" + flag + "=" + value}, output);
+            EXPECT_EQ(output.find("does not take"), std::string::npos)
+                << command << " --" << flag << ": " << output;
+        }
+    }
+    std::filesystem::remove_all(scratch);
+}
+
+TEST(Cli, BadNumbersFailNamingTheFlag)
+{
+    // Counts are whole integers at or above the flag's minimum and
+    // floats are finite; a bad value fails naming the flag instead of
+    // being cast, wrapped by a shift, or let through a range check
+    // (NaN compares false), and `--runs 0` must not reach the miner's
+    // assertion.
+    const auto store =
+        std::filesystem::temp_directory_path() / "cminer_cli_numbers";
+    std::filesystem::remove_all(store);
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"profile", "sort", "--runs", "0"}, "--runs"},
+            {{"list-benchmarks", "--threads", "2.5"}, "--threads"},
+            {{"list-benchmarks", "--threads", "0x10"}, "--threads"},
+            {{"serve", "--queue-cap", "-1"}, "--queue-cap"},
+            // 2^44 MB is 2^64 bytes, which a size_t shift wraps to 0.
+            {{"serve", "--memory-budget-mb", "17592186044416"},
+             "--memory-budget-mb"},
+            {{"collect", "sort", "--events", "nan"}, "--events"},
+            {{"serve", "--batch-rows", "inf"}, "--batch-rows"},
+            {{"error", "sort", "--seed", "1e30"}, "--seed"},
+            {{"cluster", "--store-dir", store.string(), "--band", "nan"},
+             "--band"},
+            {{"collect", "sort", "--interval-ms", "inf"}, "--interval-ms"},
+            {{"serve", "--deadline-ms", "nan"}, "--deadline-ms"},
+            {{"serve", "--deadline-ms", "-5"}, "--deadline-ms"},
+        };
+    for (const auto &[args, flag] : cases) {
+        std::string output;
+        EXPECT_EQ(cli::run(args, output), 1) << flag << ": " << output;
+        EXPECT_NE(output.find("error: " + flag + " "), std::string::npos)
+            << output;
+    }
+    std::filesystem::remove_all(store);
 }
 
 TEST(Cli, UnknownModeFailsListingChoices)

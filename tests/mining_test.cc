@@ -904,9 +904,7 @@ TEST(ServeScore, EventListMismatchIsDataError)
 TEST(ServeScore, NonFiniteMeasuredIsDataErrorAndConnectionLives)
 {
     const auto bundle = buildScorerBundle(4, 1);
-    serve::ServerOptions options;
-    options.batchWindowMs = 0.05;
-    serve::Server server(options);
+    serve::Server server;
     server.registerScorer("toy", bundle.scorer);
     server.registerModel("toy", *bundle.model);
 

@@ -1086,9 +1086,7 @@ runFaultDrive(std::uint64_t seed)
     util::FaultInjector injector(spec);
     util::RecordingClock recorder;
 
-    serve::ServerOptions options;
-    options.batchWindowMs = 0.05;
-    serve::Server server(options);
+    serve::Server server;
     server.registerModel("toy", toyArtifact());
 
     BytesFrameSource inner(std::move(bytes));
@@ -1272,7 +1270,6 @@ TEST(ServeLoadGen, PipelinedPredictsAreByteIdenticalToPredictCli)
         serve::ServerOptions options;
         options.queueCap = 2048; // admit the whole burst
         options.maxBatchRows = 64;
-        options.batchWindowMs = 0.05;
         serve::Server server(options);
         ASSERT_TRUE(server.loadModel("sort", mined.model).ok());
 
@@ -1421,9 +1418,7 @@ TEST(ServeSocket, ServesPredictStatsAndShutdownOverAfUnix)
     const auto expected =
         artifact.model.predict({103.0, 53.0, 13.0});
 
-    serve::ServerOptions options;
-    options.batchWindowMs = 0.05;
-    serve::Server server(options);
+    serve::Server server;
     server.registerModel("toy", toyArtifact());
 
     serve::SocketServer listener(server, path);
