@@ -70,25 +70,28 @@ operator new[](std::size_t size)
     return operator new(size);
 }
 
-void
+// The deletes stay out of line: inlined into an allocator, GCC 12 sees
+// free() meet the pointer operator new returned and warns
+// (-Wmismatched-new-delete), not knowing new is replaced by malloc.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

@@ -33,8 +33,9 @@ namespace cminer::cli {
  * @param args argv[1..] (command plus its arguments)
  * @param output receives everything the command printed
  * @return process exit code (0 on success, 1 on user error: among
- *         them a flag the command does not take and a malformed or
- *         out-of-range number)
+ *         them a flag the command does not take, a malformed or
+ *         out-of-range number, a missing or extra positional word, and
+ *         an allocation the host cannot satisfy)
  */
 int run(const std::vector<std::string> &args, std::string &output);
 

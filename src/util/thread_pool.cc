@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cstdint>
@@ -69,9 +70,9 @@ std::atomic<std::size_t> thread_override{0};
 
 /**
  * CMINER_THREADS as a thread count; 0 when unset or rejected. Only an
- * integer >= 1 is accepted, the rule `--threads` enforces. A rejected
- * value is warned about once (until the variable changes) and falls
- * through to the hardware count.
+ * integer in [1, max_threads] is accepted, the rule `--threads`
+ * enforces. A rejected value is warned about once (until the variable
+ * changes) and falls through to the hardware count.
  */
 std::size_t
 envThreadCount()
@@ -84,7 +85,7 @@ envThreadCount()
     const auto [end, ec] =
         std::from_chars(text.data(), text.data() + text.size(), parsed);
     if (ec == std::errc() && end == text.data() + text.size() &&
-        parsed >= 1)
+        parsed >= 1 && parsed <= Parallelism::max_threads)
         return parsed;
 
     static std::mutex warned_mutex;
@@ -92,8 +93,9 @@ envThreadCount()
     std::lock_guard<std::mutex> lock(warned_mutex);
     if (text != warned) {
         warned = text;
-        warn("CMINER_THREADS='" + warned +
-             "' is not a count >= 1; using the hardware thread count");
+        warn("CMINER_THREADS='" + warned + "' is not a count in [1, " +
+             std::to_string(Parallelism::max_threads) +
+             "]; using the hardware thread count");
     }
     return 0;
 }
@@ -109,13 +111,14 @@ Parallelism::threadCount()
     const std::size_t env = envThreadCount();
     if (env > 0)
         return env;
-    const unsigned hardware = std::thread::hardware_concurrency();
-    return hardware > 0 ? hardware : 1;
+    const std::size_t hardware = std::thread::hardware_concurrency();
+    return std::clamp<std::size_t>(hardware, 1, max_threads);
 }
 
 void
 Parallelism::setThreadCount(std::size_t count)
 {
+    CM_ASSERT(count <= max_threads);
     thread_override.store(count);
 }
 

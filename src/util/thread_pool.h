@@ -40,18 +40,27 @@ namespace cminer::util {
  *
  * Thread-count resolution order: explicit override > CMINER_THREADS
  * environment variable > hardware_concurrency. CMINER_THREADS must be
- * an integer >= 1, like `--threads`; any other value is warned about
- * and ignored. A count of 1 selects the exact serial path everywhere.
+ * an integer in [1, max_threads], like `--threads`; any other value is
+ * warned about and ignored. A count of 1 selects the exact serial path
+ * everywhere.
  */
 class Parallelism
 {
   public:
-    /** Effective thread count (>= 1). */
+    /**
+     * The largest thread count: the global pool starts count - 1 OS
+     * threads, so one unchecked value could exhaust the host's process
+     * ids. A larger hardware count is clamped to it.
+     */
+    static constexpr std::size_t max_threads = 1024;
+
+    /** Effective thread count, in [1, max_threads]. */
     static std::size_t threadCount();
 
     /**
-     * Override the thread count (0 restores automatic resolution).
-     * The global pool is resized lazily on its next use.
+     * Override the thread count (0 restores automatic resolution; at
+     * most max_threads). The global pool is resized lazily on its next
+     * use.
      */
     static void setThreadCount(std::size_t count);
 };

@@ -332,8 +332,9 @@ TEST(FaultInjectionEndToEnd, PipelineSurvivesFivePercentDamage)
     // Transient faults were absorbed by retry, not surfaced as errors.
     EXPECT_EQ(damaged.ingest.transientRetries,
               injector.counts().transients);
-    if (damaged.ingest.transientRetries > 0)
+    if (damaged.ingest.transientRetries > 0) {
         EXPECT_GT(damaged.ingest.retryDelayMs, 0.0);
+    }
 
     // The mined ranking survives the damage: at least 7 of the clean
     // top-10 events are still in the damaged top-10.

@@ -169,9 +169,10 @@ TEST(MiningDistance, MatrixSymmetricZeroDiagonalThreadInvariant)
 
 TEST(MiningDistance, MatrixMatchesDirectDtw)
 {
-    // Counts around the lane width: a single pair, part blocks, one
-    // full block, and full blocks with a tail.
-    for (const std::size_t count : {2u, 3u, 4u, 5u, 9u}) {
+    // Counts around the block and pool-chunk widths: a single pair,
+    // part blocks, and (6 and 7 signatures: 15 and 21 pairs) full
+    // 8-pair chunks followed by a partial one.
+    for (const std::size_t count : {2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
         const auto signatures = plantedSignatures(count, 48, 2, 0xd15c);
         for (const double band : {0.0, 0.1, 1.0}) {
             mining::SignatureOptions options;
@@ -520,8 +521,9 @@ TEST(ClusterArtifact, ByteFlipsNeverCrash)
         // structural flip must come back as a clean Status. Either
         // way: no crash, no over-allocation, no sanitizer finding.
         auto loaded = mining::loadClusterArtifact(victim);
-        if (!loaded.ok())
+        if (!loaded.ok()) {
             EXPECT_FALSE(loaded.status().message().empty());
+        }
     }
     std::filesystem::remove(path);
     std::filesystem::remove(victim);

@@ -537,9 +537,10 @@ TEST(SimdProperties, LbKeoghBoundsDtwOnZNormalizedSeries)
         // stddev. (The residues are not exactly zero — the mean of n
         // identical values rounds at the constant's magnitude, so a
         // 1e6-scale constant leaves ~1e-10 residues.)
-        if (kind_a != 0)
+        if (kind_a != 0) {
             for (double v : a)
                 ASSERT_LE(std::abs(v), 1e-6) << "kind " << kind_a;
+        }
         // The envelope radius the mining search uses: at least the DTW
         // band half-width, keeping the bound admissible.
         const auto radius = ts::dtwBandHalfWidth(n, n, band_fraction) + 1;

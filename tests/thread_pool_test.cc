@@ -358,6 +358,28 @@ TEST(Parallelism, EnvRejectsAnythingButAnIntegerAtLeastOne)
     }
 }
 
+TEST(Parallelism, EnvAboveTheCapFallsBack)
+{
+    // Every count stays a number here: no pool is built from it.
+    ::unsetenv("CMINER_THREADS");
+    const std::size_t fallback = Parallelism::threadCount();
+    EXPECT_LE(fallback, Parallelism::max_threads);
+    const std::string cap = std::to_string(Parallelism::max_threads);
+    const auto [at_cap, quiet] = threadCountUnderEnv(cap.c_str());
+    EXPECT_EQ(at_cap, Parallelism::max_threads);
+    EXPECT_EQ(quiet, "");
+    const std::string above = std::to_string(Parallelism::max_threads + 1);
+    for (const std::string &value :
+         {above, std::string("100000000000000000")}) {
+        const auto [count, warned] = threadCountUnderEnv(value.c_str());
+        EXPECT_EQ(count, fallback) << value;
+        EXPECT_NE(warned.find("CMINER_THREADS='" + value +
+                              "' is not a count in [1, " + cap + "]"),
+                  std::string::npos)
+            << value << " warned: " << warned;
+    }
+}
+
 // --- trySubmit: bounded, non-blocking admission --------------------------
 
 TEST(TrySubmit, ShedsImmediatelyWhenTheQueueIsFull)
