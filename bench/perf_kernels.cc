@@ -815,13 +815,13 @@ BM_ServeRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_ServeRoundTrip)->UseRealTime();
 
-// --- out-of-core segment store -------------------------------------------
+// --- segment store ---------------------------------------------------------
 // Twin benchmarks over the same synthetic fleet: Arg(0) keeps every run
-// in the in-RAM Database, Arg(1) routes it through the out-of-core
-// segment store with a seal threshold small enough that ingest really
-// seals and mining really reads mapped files. The rss/hwm counters show
-// the resident-memory story the store exists for; allocs_per_iter shows
-// the read path staying zero-copy either way.
+// in the write buffer of a Database with no directory, Arg(1) gives the
+// store a directory and a seal threshold small enough that ingest
+// really seals and mining really reads mapped files. The rss/hwm
+// counters show the resident-memory story the directory exists for;
+// allocs_per_iter shows the read path staying zero-copy either way.
 
 /** A /proc/self/status gauge in KiB (VmRSS, VmHWM), 0 if unreadable. */
 std::size_t

@@ -63,6 +63,16 @@ recordFreshDatabase()
     return db;
 }
 
+/** One stored series as a TimeSeries, for the APIs that take copies. */
+ts::TimeSeries
+seriesOf(const store::StoreSnapshot &snap, store::RunId id,
+         const std::string &event)
+{
+    const auto values = snap.values(id, event);
+    return ts::TimeSeries(event, {values.begin(), values.end()},
+                          snap.intervalMs(id));
+}
+
 } // namespace
 
 int
@@ -91,9 +101,11 @@ main(int argc, char **argv)
 
     const auto program_names = db.programs();
     const std::string program = program_names.front();
+    // Pinned for the reads below; the re-profiling at the end adds runs.
+    const store::StoreSnapshot snap = db.snapshot();
 
     // --- cross-run event statistics -----------------------------------
-    const auto &first_meta = db.runInfo(db.findRuns(program).front());
+    const auto &first_meta = snap.runInfo(snap.findRuns(program).front());
     const std::string event = first_meta.events.front();
     const auto event_summary =
         store::summarizeEventAcrossRuns(db, program, event);
@@ -105,11 +117,13 @@ main(int argc, char **argv)
                 event_summary.pooled.max);
 
     // --- perf-style text dump ------------------------------------------
-    const auto mlpx_runs = db.findRuns(program, "mlpx");
+    const auto mlpx_runs = snap.findRuns(program, "mlpx");
     if (!mlpx_runs.empty()) {
-        const auto series = db.allSeries(mlpx_runs.front());
+        const store::RunId run = mlpx_runs.front();
+        const auto &events = snap.runInfo(run).events;
         const std::string text = core::renderPerfIntervals(
-            {series.begin(), series.begin() + 2});
+            {seriesOf(snap, run, events[0]),
+             seriesOf(snap, run, events[1])});
         std::printf("\nperf-style dump of run %lld (first 2 events, "
                     "first 6 lines):\n",
                     static_cast<long long>(mlpx_runs.front()));
@@ -125,22 +139,22 @@ main(int argc, char **argv)
     }
 
     // --- nearest-run matching by DTW ------------------------------------
-    const auto ocoe_runs = db.findRuns(program, "ocoe");
+    const auto ocoe_runs = snap.findRuns(program, "ocoe");
     if (!mlpx_runs.empty() && !ocoe_runs.empty()) {
-        const auto query = db.series(mlpx_runs.front(),
-                                     first_meta.events.front());
+        const auto query =
+            seriesOf(snap, mlpx_runs.front(), first_meta.events.front());
         std::vector<ts::TimeSeries> candidates;
         std::vector<store::RunId> candidate_ids;
-        for (store::RunId id : db.findRuns(program)) {
+        for (store::RunId id : snap.findRuns(program)) {
             if (id == mlpx_runs.front())
                 continue;
-            const auto &meta = db.runInfo(id);
+            const auto &meta = snap.runInfo(id);
             if (std::find(meta.events.begin(), meta.events.end(),
                           first_meta.events.front()) ==
                 meta.events.end())
                 continue;
             candidates.push_back(
-                db.series(id, first_meta.events.front()));
+                seriesOf(snap, id, first_meta.events.front()));
             candidate_ids.push_back(id);
         }
         if (!candidates.empty()) {

@@ -2,10 +2,9 @@
  * @file
  * GWP-style continuous fleet profiling, out of core — the paper's
  * motivating setting ("CounterMiner can easily work with the Google
- * Wide Profiler"), at a data volume that no longer fits the old
- * all-in-RAM Database.
+ * Wide Profiler"), at a data volume that no longer fits in RAM.
  *
- * A simulated fleet streams profiled windows into an out-of-core
+ * A simulated fleet streams profiled windows into a directory-backed
  * segment store (DESIGN.md §15) whose memory budget is a fraction of
  * the ingested payload: the write buffer seals into memory-mapped
  * segment files, small segments compact in the background, and mining
@@ -15,8 +14,8 @@
  *  1. Process RSS stays under the configured budget while the ingested
  *     payload exceeds it several times over.
  *  2. The importance ranking mined from the segment-backed store is
- *     bit-identical to the all-in-RAM Database — at 1, 2, and 8
- *     threads.
+ *     bit-identical to one mined from a Database with no directory,
+ *     whose runs all stay in RAM — at 1, 2, and 8 threads.
  */
 
 #include <cstdio>
@@ -178,9 +177,10 @@ main()
                 store_dir.c_str(), db.runCount(),
                 db.storeStats().segmentCount);
 
-    // The all-in-RAM reference holds only the hot job (that is the
-    // point: the RAM database cannot hold the fleet, the segment store
-    // can — and must agree wherever both exist).
+    // The all-in-RAM reference, a Database with no directory, holds
+    // only the hot job (that is the point: RAM cannot hold the fleet,
+    // the segment files can — and both must agree wherever both
+    // exist).
     store::Database ram("haswell-e-fleet");
     for (const auto &window : hot_windows)
         ram.addRun("websearch-hot", "fleet", "mlpx", 900.0, window);

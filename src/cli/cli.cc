@@ -1386,7 +1386,7 @@ usage()
            "                with CapacityError when the admission queue\n"
            "                is full, drains cleanly on a shutdown frame.\n"
            "                --store-dir mines into a persistent\n"
-           "                out-of-core segment store whose resident\n"
+           "                directory of segment files whose resident\n"
            "                memory follows --memory-budget-mb (default\n"
            "                64) instead of the accumulated runs\n"
            "\n"

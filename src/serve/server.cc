@@ -482,8 +482,8 @@ Server::runMine(const MineRequest &request, const Deadline &deadline,
         // With --store-dir the daemon mines into its persistent
         // segment-backed store: runs accumulate durably across
         // requests while this job's dataset reads pin the snapshot
-        // they were built against. Without it, the old per-request
-        // in-RAM database.
+        // they were built against. Without it, a per-request database
+        // with no directory.
         store::Database local("haswell-e");
         store::Database &db = store_ != nullptr ? *store_ : local;
         core::CounterMiner miner(db, pmu::EventCatalog::instance(),

@@ -98,12 +98,12 @@ struct ServerOptions
      */
     cminer::util::TraceClock *clock = nullptr;
     /**
-     * Directory of the out-of-core run store (--store-dir). When set,
-     * the daemon mines into one persistent segment-backed database:
-     * collected runs survive across mine requests and restarts, and
-     * resident memory follows storeMemoryBudgetBytes rather than the
-     * accumulated data. Empty keeps the old per-request in-RAM
-     * database.
+     * Directory of the persistent run store (--store-dir). When set,
+     * the daemon mines into one directory-backed database: collected
+     * runs survive across mine requests and restarts, and resident
+     * memory follows storeMemoryBudgetBytes rather than the
+     * accumulated data. Empty mines each request into its own
+     * database with no directory.
      */
     std::string storeDir;
     /** Memory budget handed to the segment store (--memory-budget-mb). */
@@ -368,7 +368,7 @@ class Server
     std::optional<std::thread> batcher_;
 
     /**
-     * Persistent out-of-core run store (storeDir). Only the mine
+     * Persistent directory-backed run store (storeDir). Only the mine
      * worker mutates it (single-writer); any reads concurrent with
      * mining go through pinned snapshots, mirroring the batcher's
      * artifact-snapshot rule.

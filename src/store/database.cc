@@ -1,10 +1,10 @@
 #include "store/database.h"
 
-#include <cmath>
-#include <cstring>
+#include <charconv>
 #include <filesystem>
-#include <set>
+#include <system_error>
 
+#include "store/segment_writer.h"
 #include "util/binary_io.h"
 #include "util/csv.h"
 #include "util/error.h"
@@ -15,113 +15,6 @@ namespace cminer::store {
 using cminer::ts::TimeSeries;
 
 namespace {
-
-Schema
-catalogSchema()
-{
-    return Schema({{"run_id", ColumnType::Integer},
-                   {"program", ColumnType::Text},
-                   {"suite", ColumnType::Text},
-                   {"mode", ColumnType::Text},
-                   {"exec_time_ms", ColumnType::Real},
-                   {"events", ColumnType::Text},
-                   {"series_table", ColumnType::Text}});
-}
-
-// --- persistence format constants ------------------------------------------
-
-/** Magic of the legacy (pre-container) v1 file format. */
-constexpr char db_legacy_magic[4] = {'C', 'M', 'D', 'B'};
-
-/** Artifact kind of the container-format database file. */
-constexpr const char *db_artifact_kind = "cminer-db";
-
-/**
- * Current database schema version. v1 was the legacy raw layout; v2 is
- * the same run records inside a checkpoint container (DESIGN.md §12),
- * written atomically and read with bounded, validated reads. v1 files
- * still load.
- */
-constexpr std::uint32_t db_version = 2;
-
-/**
- * Smallest possible run record on disk: id (8) + three string length
- * prefixes (24) + exec/interval (16) + event count (8) + length (8).
- * Run-count fields are validated against it before any allocation.
- */
-constexpr std::size_t min_run_record_bytes = 64;
-
-/**
- * Parse the run records shared by the v1 and v2 layouts, inserting
- * them into `db`. All counts and lengths are validated against the
- * bytes remaining in `in` before anything is allocated.
- */
-util::Status
-readRuns(util::BinaryReader &in, Database &db)
-{
-    const std::uint64_t run_count = in.count(min_run_record_bytes);
-    for (std::uint64_t r = 0; r < run_count; ++r) {
-        in.u64(); // original id; ids are reassigned densely on load
-        const std::string program = in.str();
-        const std::string suite = in.str();
-        const std::string mode = in.str();
-        const double exec_time_ms = in.f64();
-        const double interval_ms = in.f64();
-        // Per event: at least the name's length prefix plus the length
-        // count... the series payload itself is checked per event.
-        const std::uint64_t event_count = in.count(8);
-        const std::uint64_t length = in.count(8);
-        if (!in.ok())
-            return in.status().withContext(
-                util::format("run %llu",
-                             static_cast<unsigned long long>(r)));
-        std::vector<cminer::ts::TimeSeries> series;
-        series.reserve(event_count);
-        for (std::uint64_t e = 0; e < event_count; ++e) {
-            const std::string event = in.str();
-            std::vector<double> values = in.f64Vec(length);
-            if (!in.ok())
-                return in.status().withContext(util::format(
-                    "run %llu event %llu",
-                    static_cast<unsigned long long>(r),
-                    static_cast<unsigned long long>(e)));
-            series.emplace_back(event, std::move(values), interval_ms);
-        }
-        auto added = db.tryAddRun(program, suite, mode, exec_time_ms,
-                                  series);
-        if (!added.ok())
-            return added.status().withContext(util::format(
-                "run %llu", static_cast<unsigned long long>(r)));
-    }
-    return util::Status::okStatus();
-}
-
-/**
- * Load the legacy v1 layout (magic "CMDB", u64 version, microarch,
- * then the run records) with the same bounded-read discipline. The
- * old reader trusted these count fields outright: a corrupt file
- * could request an OOM-sized allocation or fatal without an offset.
- */
-util::StatusOr<Database>
-loadLegacyV1(std::string bytes)
-{
-    util::BinaryReader in = util::BinaryReader::raw(std::move(bytes));
-    in.u32(); // the 4 magic bytes, already matched by the caller
-    const std::uint64_t version = in.u64();
-    if (in.ok() && version != 1)
-        return in.fail(util::format(
-            "unsupported legacy database version %llu",
-            static_cast<unsigned long long>(version)));
-    Database db(in.str());
-    if (!in.ok())
-        return in.status();
-    const util::Status status = readRuns(in, db);
-    if (!status.ok())
-        return status;
-    if (!in.ok())
-        return in.status();
-    return db;
-}
 
 /** One CSV line with RFC-4180 quoting, newline included. */
 std::string
@@ -140,8 +33,12 @@ csvLine(const std::vector<std::string> &fields)
 } // namespace
 
 Database::Database(std::string microarch)
-    : microarch_(std::move(microarch)),
-      catalog_("runs", catalogSchema())
+    : store_(StoreIndex::detached(std::move(microarch)))
+{
+}
+
+Database::Database(std::shared_ptr<StoreIndex> store)
+    : store_(std::move(store))
 {
 }
 
@@ -159,9 +56,7 @@ Database::tryOpenStore(const StoreOptions &options)
     auto index = StoreIndex::open(options);
     if (!index.ok())
         return index.status();
-    Database db(options.microarch);
-    db.store_ = std::move(index).value();
-    return db;
+    return Database(std::move(index).value());
 }
 
 RunId
@@ -179,205 +74,59 @@ Database::tryAddRun(const std::string &program, const std::string &suite,
                     const std::string &mode, double exec_time_ms,
                     const std::vector<TimeSeries> &series)
 {
-    if (store_ != nullptr)
-        return store_->addRun(program, suite, mode, exec_time_ms,
-                              series);
-    if (series.empty())
-        return util::Status::dataError(
-            "store: addRun requires at least one series");
-    const std::size_t length = series.front().size();
-    const double interval_ms = series.front().intervalMs();
-    for (const auto &s : series) {
-        if (s.size() != length)
-            return util::Status::dataError(util::format(
-                "store: series length mismatch within a run ('%s' has "
-                "%zu samples, expected %zu)",
-                s.eventName().c_str(), s.size(), length));
-        // One run samples every event on the same clock; a mixed
-        // interval would silently stretch or squeeze every series
-        // recorded after the first, so it is data damage, not a
-        // preference.
-        if (s.intervalMs() != interval_ms)
-            return util::Status::dataError(util::format(
-                "store: mixed sampling intervals within a run ('%s' "
-                "sampled every %g ms, '%s' every %g ms)",
-                series.front().eventName().c_str(), interval_ms,
-                s.eventName().c_str(), s.intervalMs()));
-    }
-    if (!std::isfinite(exec_time_ms) || exec_time_ms < 0.0)
-        return util::Status::dataError(
-            "store: run execution time is not a finite non-negative "
-            "duration");
-
-    const RunId id = nextId_++;
-    RunMetadata meta;
-    meta.id = id;
-    meta.program = program;
-    meta.suite = suite;
-    meta.mode = mode;
-    meta.execTimeMs = exec_time_ms;
-    meta.seriesTable = "run_" + std::to_string(id);
-    for (const auto &s : series)
-        meta.events.push_back(s.eventName());
-
-    // Level-2 table: interval index plus one REAL column per event.
-    std::vector<ColumnSpec> columns;
-    columns.push_back({"interval", ColumnType::Integer});
-    for (const auto &s : series)
-        columns.push_back({s.eventName(), ColumnType::Real});
-    Table table(meta.seriesTable, Schema(std::move(columns)));
-    for (std::size_t i = 0; i < length; ++i) {
-        Row row;
-        row.reserve(series.size() + 1);
-        row.emplace_back(static_cast<std::int64_t>(i));
-        for (const auto &s : series)
-            row.emplace_back(s.at(i));
-        table.insert(std::move(row));
-    }
-
-    intervalMs_[id] = interval_ms;
-    seriesTables_.emplace(id, std::move(table));
-    runs_.emplace(id, std::move(meta));
-
-    const RunMetadata &stored = runs_.at(id);
-    catalog_.insert({id, stored.program, stored.suite, stored.mode,
-                     stored.execTimeMs,
-                     util::join(stored.events, ";"),
-                     stored.seriesTable});
-    return id;
+    return store_->addRun(program, suite, mode, exec_time_ms, series);
 }
 
 std::size_t
 Database::runCount() const
 {
-    if (store_ != nullptr)
-        return store_->runCount();
-    return runs_.size();
+    return store_->runCount();
 }
+
+// The direct readers below return references and spans into
+// store-owned memory (a buffered run or a segment mapping), which the
+// store keeps alive until the next seal or compaction retires it.
 
 const RunMetadata &
 Database::runInfo(RunId id) const
 {
-    if (store_ != nullptr)
-        return store_->snapshot().runInfo(id);
-    auto it = runs_.find(id);
-    if (it == runs_.end())
-        util::fatal("store: unknown run id " + std::to_string(id));
-    return it->second;
+    return store_->snapshot().runInfo(id);
 }
 
 std::vector<RunId>
 Database::findRuns(const std::string &program, const std::string &mode) const
 {
-    if (store_ != nullptr)
-        return store_->findRuns(program, mode);
-    std::vector<RunId> ids;
-    for (const auto &[id, meta] : runs_) {
-        if (meta.program != program)
-            continue;
-        if (!mode.empty() && meta.mode != mode)
-            continue;
-        ids.push_back(id);
-    }
-    return ids;
+    return store_->findRuns(program, mode);
 }
 
 std::vector<std::string>
 Database::programs() const
 {
-    if (store_ != nullptr)
-        return store_->programs();
-    std::set<std::string> names;
-    for (const auto &[id, meta] : runs_)
-        names.insert(meta.program);
-    return {names.begin(), names.end()};
-}
-
-TimeSeries
-Database::series(RunId id, const std::string &event) const
-{
-    const auto values = seriesValues(id, event);
-    return TimeSeries(event, {values.begin(), values.end()},
-                      seriesIntervalMs(id));
+    return store_->programs();
 }
 
 std::span<const double>
 Database::seriesValues(RunId id, const std::string &event) const
 {
-    if (store_ != nullptr) {
-        // The returned span points into store-owned memory (segment
-        // mapping or buffered column), which the database keeps alive
-        // until the next seal or compaction retires it — the same
-        // "valid until the next mutation" contract as the RAM path.
-        return store_->snapshot().values(id, event);
-    }
-    const Table &table = seriesTable(id);
-    if (!table.schema().hasColumn(event))
-        util::fatal("store: run " + std::to_string(id) +
-                    " has no event " + event);
-    return table.realColumn(event);
+    return store_->snapshot().values(id, event);
 }
 
 double
 Database::seriesIntervalMs(RunId id) const
 {
-    if (store_ != nullptr)
-        return store_->snapshot().intervalMs(id);
-    auto it = intervalMs_.find(id);
-    if (it == intervalMs_.end())
-        util::fatal("store: unknown run id " + std::to_string(id));
-    return it->second;
+    return store_->snapshot().intervalMs(id);
 }
 
 std::size_t
 Database::seriesLength(RunId id) const
 {
-    if (store_ != nullptr)
-        return store_->snapshot().length(id);
-    return seriesTable(id).rowCount();
+    return store_->snapshot().length(id);
 }
 
 StoreSnapshot
 Database::snapshot() const
 {
-    if (store_ != nullptr)
-        return store_->snapshot();
-    StoreSnapshot snap;
-    snap.ram_ = this;
-    return snap;
-}
-
-std::vector<TimeSeries>
-Database::allSeries(RunId id) const
-{
-    const RunMetadata &meta = runInfo(id);
-    std::vector<TimeSeries> out;
-    out.reserve(meta.events.size());
-    for (const auto &event : meta.events)
-        out.push_back(series(id, event));
-    return out;
-}
-
-const Table &
-Database::catalog() const
-{
-    if (store_ != nullptr)
-        util::fatal("store: catalog() has no Table backing on an "
-                    "out-of-core database; use runInfo()/findRuns() or "
-                    "a snapshot()");
-    return catalog_;
-}
-
-const Table &
-Database::seriesTable(RunId id) const
-{
-    if (store_ != nullptr)
-        util::fatal("store: seriesTable() has no Table backing on an "
-                    "out-of-core database; use snapshot() values");
-    auto it = seriesTables_.find(id);
-    if (it == seriesTables_.end())
-        util::fatal("store: unknown run id " + std::to_string(id));
-    return it->second;
+    return store_->snapshot();
 }
 
 void
@@ -389,34 +138,20 @@ Database::save(const std::string &path) const
 util::Status
 Database::trySave(const std::string &path) const
 {
-    if (store_ != nullptr)
-        return util::Status::dataError(
-            "store: save() does not apply to an out-of-core database — "
-            "segments are already durable; flush() is the barrier");
-    util::BinaryWriter out(db_artifact_kind, db_version);
-    out.beginSection("runs");
-    out.str(microarch_);
-    out.u64(runs_.size());
-    for (const auto &[id, meta] : runs_) {
-        out.u64(static_cast<std::uint64_t>(id));
-        out.str(meta.program);
-        out.str(meta.suite);
-        out.str(meta.mode);
-        out.f64(meta.execTimeMs);
-        out.f64(intervalMs_.at(id));
-        out.u64(meta.events.size());
-        const Table &table = seriesTables_.at(id);
-        out.u64(table.rowCount());
-        for (const auto &event : meta.events) {
-            out.str(event);
-            out.f64Span(table.realColumn(event));
-        }
+    // The snapshot pins every column the writer borrows, so a
+    // directory-backed store may seal or compact while this streams.
+    const StoreSnapshot snap = snapshot();
+    SegmentWriter writer(microarch());
+    for (RunId id = 0; id < static_cast<RunId>(snap.runCount()); ++id) {
+        const RunMetadata &meta = snap.runInfo(id);
+        std::vector<std::span<const double>> columns;
+        columns.reserve(meta.events.size());
+        for (std::size_t e = 0; e < meta.events.size(); ++e)
+            columns.push_back(snap.values(id, e));
+        writer.addRun(meta, snap.intervalMs(id), snap.length(id),
+                      std::move(columns));
     }
-    out.endSection();
-    util::Status status = out.writeFile(path);
-    if (!status.ok())
-        return status.withContext("store: save " + path);
-    return status;
+    return writer.write(path).withContext("store: save " + path);
 }
 
 void
@@ -428,24 +163,19 @@ Database::flush()
 util::Status
 Database::tryFlush()
 {
-    if (store_ == nullptr)
-        return util::Status::okStatus();
     return store_->flush();
 }
 
 void
 Database::waitForStoreMaintenance()
 {
-    if (store_ != nullptr)
-        store_->waitForMaintenance();
+    store_->waitForMaintenance();
 }
 
 StoreStats
 Database::storeStats() const
 {
-    if (store_ != nullptr)
-        return store_->stats();
-    return {};
+    return store_->stats();
 }
 
 Database
@@ -459,65 +189,32 @@ Database::load(const std::string &path)
 util::StatusOr<Database>
 Database::tryLoad(const std::string &path)
 {
-    auto read = util::readFileBytes(path);
-    if (!read.ok())
-        return read.status().withContext("store: load " + path);
-    std::string bytes = std::move(read).value();
-
-    // Legacy v1 files predate the container header; sniff their magic.
-    if (bytes.size() >= sizeof(db_legacy_magic) &&
-        std::memcmp(bytes.data(), db_legacy_magic,
-                    sizeof(db_legacy_magic)) == 0) {
-        auto db = loadLegacyV1(std::move(bytes));
-        if (!db.ok())
-            return db.status().withContext("store: load " + path +
-                                           " (v1)");
-        return db;
-    }
-
-    auto opened =
-        util::BinaryReader::fromBytes(std::move(bytes), db_artifact_kind);
-    if (!opened.ok())
-        return opened.status().withContext("store: load " + path);
-    util::BinaryReader in = std::move(opened).value();
-    if (in.artifactVersion() != db_version)
-        return in
-            .fail(util::format(
-                "unsupported database version %u (this build reads "
-                "v1 legacy files and v%u containers)",
-                in.artifactVersion(), db_version))
-            .withContext("store: load " + path);
-
-    Database db;
-    bool seen_runs = false;
-    for (std::uint64_t s = 0; s < in.sectionCount() && in.ok(); ++s) {
-        const std::string section = in.beginSection();
-        if (!in.ok())
-            break;
-        if (section == "runs") {
-            db = Database(in.str());
-            const util::Status status = readRuns(in, db);
-            if (!status.ok())
-                return status.withContext("store: load " + path);
-            seen_runs = in.ok();
-        }
-        // Unknown sections from newer writers are skipped by size.
-        in.endSection();
-    }
-    if (!in.ok())
-        return in.status().withContext("store: load " + path);
-    if (!seen_runs)
-        return util::Status::dataError("no 'runs' section")
-            .withContext("store: load " + path);
-    return db;
+    auto segment = Segment::open(path);
+    if (!segment.ok())
+        return segment.status().withContext("store: load " + path);
+    // A saved database numbers its runs from 0; a segment cut from the
+    // middle of a store directory does not stand alone.
+    const RunId first = segment.value()->firstId();
+    if (first != 0)
+        return util::Status::dataError(util::format(
+            "store: load %s: first run id is %lld, not 0", path.c_str(),
+            static_cast<long long>(first)));
+    std::string microarch = segment.value()->microarch();
+    return Database(StoreIndex::detached(std::move(microarch),
+                                         std::move(segment).value()));
 }
 
 void
 Database::exportCsv(const std::string &directory) const
 {
-    std::filesystem::create_directories(directory);
+    std::error_code ec;
+    std::filesystem::create_directories(directory, ec);
+    if (!std::filesystem::is_directory(
+            std::filesystem::status(directory, ec)))
+        util::fatal("store: exportCsv: cannot create directory " +
+                    directory);
 
-    // One consistent view for the whole export, both storage modes.
+    // One consistent view for the whole export.
     const StoreSnapshot snap = snapshot();
     const RunId run_count = static_cast<RunId>(snap.runCount());
 
@@ -571,20 +268,26 @@ Database::exportCsv(const std::string &directory) const
 
     // Remove run_<id>.csv leftovers from a previous export of a larger
     // database, so the directory always equals exactly this database.
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(directory, ec)) {
-        const std::string name = entry.path().filename().string();
+    for (std::filesystem::directory_iterator it(directory, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
         if (name.size() <= 8 || name.rfind("run_", 0) != 0 ||
             name.substr(name.size() - 4) != ".csv")
             continue;
         const std::string digits = name.substr(4, name.size() - 8);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
+        if (digits.find_first_not_of("0123456789") != std::string::npos)
             continue;
-        const RunId id = static_cast<RunId>(std::stoll(digits));
-        if (id >= run_count)
-            std::filesystem::remove(entry.path(), ec);
+        // All digits, so the parse either succeeds or overflows; an id
+        // too large for RunId is above run_count, so that file is
+        // stale too.
+        RunId id = 0;
+        const auto parsed = std::from_chars(
+            digits.data(), digits.data() + digits.size(), id);
+        if (parsed.ec == std::errc::result_out_of_range ||
+            id >= run_count) {
+            std::error_code ignore;
+            std::filesystem::remove(it->path(), ignore);
+        }
     }
 }
 

@@ -2,25 +2,28 @@
  * @file
  * The two-level performance database (Section III-A of the paper).
  *
- * Level 1 is a catalog table holding, per run: the program name, suite,
+ * Level 1 is a catalog holding, per run: the program name, suite,
  * sampling mode, execution time, the measured event names, and the name
  * of the level-2 table. Level 2 holds one table per run with the sampled
- * time series (one REAL column per event, one row per interval).
+ * time series (one column per event, one value per interval).
  *
- * The paper uses SQLite for this; we provide an embedded from-scratch
- * equivalent with binary persistence and CSV export. Per the paper, the
- * catalog is tied to one microarchitecture: loading a database recorded
- * on a different microarchitecture re-initializes the tables.
+ * The paper uses SQLite for this; here one embedded engine, the segment
+ * store (store/store_index.h, DESIGN.md §15), holds both levels. Runs
+ * land in a write buffer; immutable segment files (store/segment.h)
+ * hold sealed runs. Series reads are zero-copy spans over the buffer or
+ * over a segment's memory mapping. A database describes one
+ * microarchitecture: every segment records it, load() takes it from the
+ * file, and openStore() refuses a directory recorded for another.
  *
- * Two storage modes share this API (DESIGN.md §15):
+ * Whether the store has a directory is the only difference between:
  *
- *  - **In-RAM** (the default constructor, save()/load()): every run
- *    lives in level-2 Tables in memory. Right for datasets that fit.
- *  - **Out-of-core** (openStore()): runs land in a bounded write buffer
- *    that seals into immutable memory-mapped segment files
- *    (store/segment.h) under a directory, with background compaction.
- *    Series reads are zero-copy spans straight over the mappings, so
- *    resident memory tracks the configured budget — not the dataset.
+ *  - the default constructor and load(): no directory. The buffer never
+ *    seals on its own and flush() does nothing. save() writes every run
+ *    into one segment file (a `.cmdb`), which load() maps back.
+ *  - openStore(): a directory of segment files. The buffer seals into a
+ *    new segment once it crosses a size threshold and small segments
+ *    are compacted in the background, so resident memory tracks the
+ *    configured budget, not the dataset.
  *
  * Readers that must stay consistent while ingest or maintenance runs
  * concurrently take a snapshot() and read through it; see
@@ -30,17 +33,13 @@
 #ifndef CMINER_STORE_DATABASE_H
 #define CMINER_STORE_DATABASE_H
 
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "store/segment.h"
 #include "store/store_index.h"
-#include "store/table.h"
 #include "ts/time_series.h"
 #include "util/status.h"
 
@@ -48,18 +47,27 @@ namespace cminer::store {
 
 /**
  * The performance database: catalog plus per-run series tables.
+ * Move-only: a copy would share one store behind two handles.
  */
 class Database
 {
   public:
-    /** @param microarch the microarchitecture this database describes */
+    /**
+     * An empty store with no directory.
+     * @param microarch the microarchitecture this database describes
+     */
     explicit Database(std::string microarch = "haswell-e");
 
+    Database(Database &&) noexcept = default;
+    Database &operator=(Database &&) noexcept = default;
+    Database(const Database &) = delete;
+    Database &operator=(const Database &) = delete;
+
     /**
-     * Open (or create) an out-of-core database over a directory of
-     * segment files. Existing segments are validated (every count and
-     * offset bounds-checked) and leftovers of an interrupted compaction
-     * are resolved; a gap, partial overlap, corrupt segment, or
+     * Open (or create) a database over a directory of segment files.
+     * Existing segments are validated (every count and offset
+     * bounds-checked) and leftovers of an interrupted compaction are
+     * resolved; a gap, partial overlap, corrupt segment, or
      * microarchitecture mismatch refuses to open.
      * @throws util::FatalError on failure
      */
@@ -69,17 +77,14 @@ class Database
     static cminer::util::StatusOr<Database>
     tryOpenStore(const StoreOptions &options);
 
-    /** True when backed by the out-of-core segment store. */
-    bool outOfCore() const { return store_ != nullptr; }
-
     /** Microarchitecture tag. */
-    const std::string &microarch() const { return microarch_; }
+    const std::string &microarch() const { return store_->microarch(); }
 
     /**
-     * Record one run: catalog entry plus a level-2 series table.
+     * Record one run: catalog entry plus its level-2 series.
      *
      * All series must have the same length (one value per interval)
-     * and the same sampling interval.
+     * and the same sampling interval (StoreIndex::addRun validates).
      *
      * @param program benchmark name
      * @param suite benchmark suite name
@@ -119,24 +124,11 @@ class Database
     std::vector<std::string> programs() const;
 
     /**
-     * One event's series from one run; fatal when absent.
-     *
-     * Copying API kept for external users; internal readers use
-     * seriesValues() to stay on the zero-copy column path.
-     */
-    cminer::ts::TimeSeries series(RunId id,
-                                  const std::string &event) const;
-
-    /** All series of a run, in catalog event order (copies). */
-    std::vector<cminer::ts::TimeSeries> allSeries(RunId id) const;
-
-    /**
-     * Zero-copy view of one event's sampled values: a level-2 table
-     * column in RAM mode, a mapped (or buffered) segment column
-     * out-of-core. Fatal when the run or event is absent. Valid until
-     * the next mutation of the database (which out-of-core includes a
-     * seal or compaction) — readers concurrent with ingest must pin a
-     * snapshot() and read through it instead.
+     * Zero-copy view of one event's sampled values: a buffered column
+     * or a column of a mapped segment. Fatal when the run or event is
+     * absent. Valid until the next mutation of the database (which
+     * includes a seal or compaction) — readers concurrent with ingest
+     * must pin a snapshot() and read through it instead.
      */
     std::span<const double> seriesValues(RunId id,
                                          const std::string &event) const;
@@ -148,31 +140,18 @@ class Database
     std::size_t seriesLength(RunId id) const;
 
     /**
-     * Pin a consistent view of every run for reading. The snapshot
-     * stays valid — including every span it hands out — across
-     * concurrent addRun/flush and background compaction. In-RAM
-     * databases return a borrowing snapshot (the Database must outlive
-     * it); out-of-core snapshots are self-contained.
+     * Pin a consistent view of every run for reading. The snapshot is
+     * self-contained and stays valid — including every span it hands
+     * out — across concurrent addRun/flush and background compaction.
      */
     StoreSnapshot snapshot() const;
 
     /**
-     * Direct access to the level-1 catalog table. In-RAM mode only:
-     * fatal on an out-of-core database (which has no Table-backed
-     * catalog — use runInfo()/findRuns()/snapshot()).
-     */
-    const Table &catalog() const;
-
-    /** Direct access to a run's level-2 table. In-RAM mode only. */
-    const Table &seriesTable(RunId id) const;
-
-    /**
-     * Persist to a single binary file in the checkpoint container
-     * format (util/binary_io.h, DESIGN.md §12). The write is atomic:
-     * data lands in a temp file renamed over the destination, so a
-     * mid-write failure never destroys the previous good file.
-     * In-RAM mode only: an out-of-core database is already durable on
-     * disk — use flush() as its durability barrier.
+     * Write every run, sealed and buffered, into one segment file
+     * (store/segment.h, artifact kind "cminer-segment"), streamed from
+     * a pinned snapshot. The write is atomic: data lands in a temp file
+     * renamed over the destination, so a mid-write failure never
+     * destroys the previous good file.
      * @throws util::FatalError on I/O failure
      */
     void save(const std::string &path) const;
@@ -181,8 +160,8 @@ class Database
     cminer::util::Status trySave(const std::string &path) const;
 
     /**
-     * Out-of-core durability barrier: seal the write buffer into a
-     * segment file. A no-op in RAM mode and on an empty buffer.
+     * Durability barrier: seal the write buffer into a segment file. A
+     * no-op without a directory and on an empty buffer.
      * @throws util::FatalError on I/O failure
      */
     void flush();
@@ -193,17 +172,23 @@ class Database
     /** Block until background store maintenance (compaction) is idle. */
     void waitForStoreMaintenance();
 
-    /** Out-of-core engine counters; zeroes in RAM mode. */
+    /** Store engine counters. */
     StoreStats storeStats() const;
 
     /**
-     * Load from a binary file written by save(). Current (v2,
-     * container) and legacy (v1) formats both load; either way every
-     * count/length field is validated against the bytes actually in
-     * the file before any allocation, so truncated or corrupt input
-     * produces a clean error naming the byte offset — never an
-     * OOM-sized allocation or a silently zero-filled run.
-     * @throws util::FatalError on I/O failure or format mismatch
+     * Open a file written by save(): a store with no directory holding
+     * that one segment. Segment::open maps the file read-only and
+     * validates every count, length and offset against the bytes in it
+     * before use, so truncated or corrupt input is a clean error naming
+     * the byte offset. The microarchitecture comes from the file; runs
+     * added afterwards continue its ids and stay buffered.
+     *
+     * Columns are read from the mapping for the database's lifetime,
+     * so the file must not be rewritten in place while it is loaded.
+     * Replacing it by rename, as save() and every writer here do, is
+     * safe: the mapping keeps the old file's pages.
+     * @throws util::FatalError on I/O failure, corruption, or a file
+     *         whose first run id is not 0
      */
     static Database load(const std::string &path);
 
@@ -218,20 +203,15 @@ class Database
      * (%.17g), and stale run_<id>.csv files from a previous, larger
      * export into the same directory are removed so the directory
      * always equals exactly this database.
+     * @throws util::FatalError when the directory cannot be created or
+     *         a file cannot be written
      */
     void exportCsv(const std::string &directory) const;
 
   private:
-    std::string microarch_;
-    RunId nextId_ = 0;
-    std::map<RunId, RunMetadata> runs_;
-    std::map<RunId, Table> seriesTables_;
-    std::map<RunId, double> intervalMs_;
-    Table catalog_;
-    /**
-     * Non-null in out-of-core mode; shared so a queued compaction task
-     * survives a move of the Database.
-     */
+    explicit Database(std::shared_ptr<StoreIndex> store);
+
+    /** Shared so a queued compaction task survives a move. */
     std::shared_ptr<StoreIndex> store_;
 };
 

@@ -24,6 +24,9 @@ using cminer::util::StatusOr;
 StatusOr<MappedFile>
 MappedFile::open(const std::string &path)
 {
+    const Status regular = util::checkRegularFile(path);
+    if (!regular.ok())
+        return regular;
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return Status::dataError("cannot open for mapping: " + path);
@@ -243,8 +246,8 @@ Segment::open(const std::string &path)
             if (!seen_catalog)
                 return in.fail("index section before catalog")
                     .withContext("segment: open " + path);
-            const std::uint64_t program_count = in.count(16);
-            for (std::uint64_t p = 0; p < program_count && in.ok();
+            const std::uint64_t indexed_programs = in.count(16);
+            for (std::uint64_t p = 0; p < indexed_programs && in.ok();
                  ++p) {
                 const std::string program = in.str();
                 const std::uint64_t n = in.count(8);

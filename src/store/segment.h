@@ -1,7 +1,8 @@
 /**
  * @file
  * Immutable, memory-mapped columnar segment files — the on-disk shards
- * of the out-of-core store (DESIGN.md §15).
+ * of the segment store (DESIGN.md §15), and the one on-disk format of
+ * a database: a file written by Database::save() is one segment.
  *
  * A segment holds a contiguous range of run ids in the checkpoint
  * container format (util/binary_io.h, artifact kind "cminer-segment"):
@@ -54,7 +55,8 @@ struct RunMetadata
     std::string mode;          ///< "ocoe" or "mlpx"
     double execTimeMs = 0.0;   ///< run wall-clock time
     std::vector<std::string> events; ///< measured event names
-    std::string seriesTable;   ///< name of the level-2 table
+    /** "run_<id>": the run's level-2 table, and exportCsv's file name. */
+    std::string seriesTable;
 };
 
 /**
@@ -79,8 +81,8 @@ struct BufferedRun
 };
 
 /**
- * A read-only memory mapping of a whole file. Move-only; unmaps on
- * destruction. Zero-length files map to an empty view.
+ * A read-only memory mapping of a whole regular file. Move-only; unmaps
+ * on destruction. Zero-length files map to an empty view.
  */
 class MappedFile
 {

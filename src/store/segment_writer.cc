@@ -60,10 +60,9 @@ SegmentWriter::write(const std::string &path)
 {
     CM_ASSERT(!spent_);
     spent_ = true;
-    if (runs_.empty())
-        return Status::dataError(
-            "segment: refusing to write an empty segment");
-    const RunId first_id = runs_.front().meta->id;
+    // An empty segment is a saved empty database; a store directory
+    // never seals one.
+    const RunId first_id = runs_.empty() ? 0 : runs_.front().meta->id;
     for (std::size_t r = 0; r < runs_.size(); ++r) {
         if (runs_[r].meta->id != first_id + static_cast<RunId>(r))
             return Status::dataError(util::format(

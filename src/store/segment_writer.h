@@ -1,8 +1,8 @@
 /**
  * @file
  * Builds immutable segment files (store/segment.h) from runs held in
- * memory — the seal half of the out-of-core store, and the merge half
- * of its compactor.
+ * memory — the seal half of the segment store, the merge half of its
+ * compactor, and Database::save().
  *
  * The writer accumulates non-owning references to run columns (spans
  * over write-buffer vectors when sealing, over mmap'd columns of the

@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "store/database.h"
 #include "store/segment_writer.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -51,8 +50,6 @@ StoreSnapshot::locate(RunId id) const
 std::size_t
 StoreSnapshot::runCount() const
 {
-    if (ram_ != nullptr)
-        return ram_->runCount();
     std::size_t n = buffer_.size();
     for (const auto &seg : segments_)
         n += seg->runCount();
@@ -62,9 +59,6 @@ StoreSnapshot::runCount() const
 bool
 StoreSnapshot::hasRun(RunId id) const
 {
-    if (ram_ != nullptr)
-        return id >= 0 &&
-               id < static_cast<RunId>(ram_->runCount());
     const Location loc = locate(id);
     return loc.segment != nullptr || loc.buffered != nullptr;
 }
@@ -72,8 +66,6 @@ StoreSnapshot::hasRun(RunId id) const
 const RunMetadata &
 StoreSnapshot::runInfo(RunId id) const
 {
-    if (ram_ != nullptr)
-        return ram_->runInfo(id);
     const Location loc = locate(id);
     if (loc.segment != nullptr)
         return loc.segment->runMeta(loc.ordinal);
@@ -85,8 +77,6 @@ StoreSnapshot::runInfo(RunId id) const
 double
 StoreSnapshot::intervalMs(RunId id) const
 {
-    if (ram_ != nullptr)
-        return ram_->seriesIntervalMs(id);
     const Location loc = locate(id);
     if (loc.segment != nullptr)
         return loc.segment->intervalMs(loc.ordinal);
@@ -98,8 +88,6 @@ StoreSnapshot::intervalMs(RunId id) const
 std::size_t
 StoreSnapshot::length(RunId id) const
 {
-    if (ram_ != nullptr)
-        return ram_->seriesLength(id);
     const Location loc = locate(id);
     if (loc.segment != nullptr)
         return loc.segment->length(loc.ordinal);
@@ -111,11 +99,6 @@ StoreSnapshot::length(RunId id) const
 std::span<const double>
 StoreSnapshot::values(RunId id, std::size_t event_index) const
 {
-    if (ram_ != nullptr) {
-        const RunMetadata &meta = ram_->runInfo(id);
-        CM_ASSERT(event_index < meta.events.size());
-        return ram_->seriesValues(id, meta.events[event_index]);
-    }
     const Location loc = locate(id);
     if (loc.segment != nullptr)
         return loc.segment->column(loc.ordinal, event_index);
@@ -129,8 +112,6 @@ StoreSnapshot::values(RunId id, std::size_t event_index) const
 std::span<const double>
 StoreSnapshot::values(RunId id, const std::string &event) const
 {
-    if (ram_ != nullptr)
-        return ram_->seriesValues(id, event);
     const RunMetadata &meta = runInfo(id);
     for (std::size_t e = 0; e < meta.events.size(); ++e) {
         if (meta.events[e] == event)
@@ -144,8 +125,6 @@ std::vector<RunId>
 StoreSnapshot::findRuns(const std::string &program,
                         const std::string &mode) const
 {
-    if (ram_ != nullptr)
-        return ram_->findRuns(program, mode);
     std::vector<RunId> ids;
     for (const auto &seg : segments_) {
         for (const std::size_t ordinal : seg->runsForProgram(program)) {
@@ -193,12 +172,26 @@ StoreIndex::compactTarget() const
     return 4 * sealThreshold();
 }
 
+std::shared_ptr<StoreIndex>
+StoreIndex::detached(std::string microarch,
+                     std::shared_ptr<const Segment> segment)
+{
+    StoreOptions options;
+    options.microarch = std::move(microarch);
+    std::shared_ptr<StoreIndex> index(new StoreIndex(std::move(options)));
+    if (segment != nullptr && segment->runCount() > 0) {
+        index->nextId_ = segment->lastId() + 1;
+        index->sealedRuns_ = segment->runCount();
+        index->segments_.push_back(std::move(segment));
+    }
+    return index;
+}
+
 StatusOr<std::shared_ptr<StoreIndex>>
 StoreIndex::open(const StoreOptions &options)
 {
     if (options.directory.empty())
-        return Status::dataError(
-            "store: out-of-core open requires a directory");
+        return Status::dataError("store: openStore requires a directory");
     std::error_code ec;
     std::filesystem::create_directories(options.directory, ec);
     if (ec)
@@ -295,6 +288,10 @@ StoreIndex::addRun(const std::string &program, const std::string &suite,
                 "store: series length mismatch within a run ('%s' has "
                 "%zu samples, expected %zu)",
                 s.eventName().c_str(), s.size(), length));
+        // One run samples every event on the same clock; a mixed
+        // interval would silently stretch or squeeze every series
+        // recorded after the first, so it is data damage, not a
+        // preference.
         if (s.intervalMs() != interval_ms)
             return Status::dataError(util::format(
                 "store: mixed sampling intervals within a run ('%s' "
@@ -329,7 +326,8 @@ StoreIndex::addRun(const std::string &program, const std::string &suite,
         run->meta.seriesTable = "run_" + std::to_string(id);
         bufferBytes_ += run->payloadBytes();
         buffer_.push_back(std::move(run));
-        should_seal = bufferBytes_ >= sealThreshold();
+        should_seal = !options_.directory.empty() &&
+                      bufferBytes_ >= sealThreshold();
     }
     if (should_seal) {
         const Status sealed = seal();
@@ -388,6 +386,8 @@ StoreIndex::seal()
 Status
 StoreIndex::flush()
 {
+    if (options_.directory.empty())
+        return Status::okStatus();
     const Status sealed = seal();
     if (sealed.ok())
         maybeCompact();

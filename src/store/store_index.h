@@ -1,10 +1,16 @@
 /**
  * @file
- * The out-of-core store engine behind `Database` (DESIGN.md §15): an
- * in-memory write buffer that absorbs addRun, seals into immutable
- * memory-mapped segment files (store/segment.h) when it crosses a size
- * threshold, and a background compactor that merges small segments on
- * a caller-provided ThreadPool.
+ * The store engine behind every `Database` (DESIGN.md §15): an
+ * in-memory write buffer that absorbs addRun, plus immutable
+ * memory-mapped segment files (store/segment.h).
+ *
+ * A store with a directory (Database::openStore) seals the buffer into
+ * a new segment file when it crosses a size threshold, and a
+ * background compactor merges small segments on a caller-provided
+ * ThreadPool. A store without one (the default Database, and
+ * Database::load) never seals on its own and its flush() does nothing:
+ * its runs stay buffered, next to the one segment load() mapped. That
+ * is the only difference between the two.
  *
  * Concurrency contract:
  *  - Mutations (addRun / flush) are single-writer: at most one thread
@@ -16,8 +22,8 @@
  *    any number of subsequent seals and compactions. This mirrors the
  *    serving daemon's artifact-snapshot rule: a batch is processed
  *    against the state it was admitted under, never a mid-flight swap.
- *  - Direct (snapshot-free) readers get the in-RAM Database contract:
- *    results are valid until the next mutation or maintenance step.
+ *  - Direct (snapshot-free) readers get results that are valid until
+ *    the next mutation or maintenance step.
  *
  * Durability: a sealed segment lands by atomic temp+rename, without
  * fsync, so once the addRun that sealed it returns the segment
@@ -53,9 +59,7 @@ class ThreadPool;
 
 namespace cminer::store {
 
-class Database;
-
-/** Configuration of an out-of-core database (Database::openStore). */
+/** Configuration of a directory-backed database (Database::openStore). */
 struct StoreOptions
 {
     /** Microarchitecture tag (must match existing segments on reopen). */
@@ -68,8 +72,8 @@ struct StoreOptions
      * sealThresholdBytes (default memoryBudgetBytes / 8), so buffered
      * data never exceeds one threshold's worth plus the run being
      * added. Catalog metadata (program names, event lists) stays in
-     * RAM in both modes — the budget governs the series payloads,
-     * which dominate at fleet scale.
+     * RAM — the budget governs the series payloads, which dominate at
+     * fleet scale.
      */
     std::size_t memoryBudgetBytes = 64ull << 20;
     /** Seal threshold override; 0 derives memoryBudgetBytes / 8. */
@@ -91,7 +95,7 @@ struct StoreOptions
     cminer::util::ThreadPool *maintenancePool = nullptr;
 };
 
-/** Observable state of the out-of-core engine (gauges, tests). */
+/** Observable state of the store engine (gauges, tests). */
 struct StoreStats
 {
     std::size_t segmentCount = 0;
@@ -106,13 +110,11 @@ struct StoreStats
 };
 
 /**
- * A pinned, immutable view of the store at one instant. Self-contained
- * for an out-of-core database: holds shared ownership of the segments
- * and buffered runs it was built from, so every span it hands out
- * stays valid for the snapshot's lifetime regardless of seals and
- * compactions happening behind it. For an in-RAM database it borrows
- * the Database (which must outlive it) — in-RAM run tables are never
- * mutated after insertion, so the same validity guarantee holds.
+ * A pinned, immutable view of the store at one instant. Self-contained:
+ * holds shared ownership of the segments and buffered runs it was built
+ * from, so every span it hands out stays valid for the snapshot's
+ * lifetime regardless of seals, compactions, or the Database itself
+ * going away behind it.
  */
 class StoreSnapshot
 {
@@ -149,7 +151,6 @@ class StoreSnapshot
 
   private:
     friend class StoreIndex;
-    friend class Database;
 
     /** Where one run lives within this snapshot. */
     struct Location
@@ -161,8 +162,6 @@ class StoreSnapshot
 
     Location locate(RunId id) const;
 
-    /** In-RAM delegation target (null for out-of-core snapshots). */
-    const Database *ram_ = nullptr;
     /** Pinned segments, ascending by firstId, contiguous ids. */
     std::vector<std::shared_ptr<const Segment>> segments_;
     /** Pinned buffered runs, ascending ids after the last segment. */
@@ -170,9 +169,9 @@ class StoreSnapshot
 };
 
 /**
- * The mutable out-of-core engine. One instance per out-of-core
- * Database, held by shared_ptr so a move of the Database never
- * invalidates the `this` captured by a queued compaction task.
+ * The mutable store engine. One instance per Database, held by
+ * shared_ptr so a move of the Database never invalidates the `this`
+ * captured by a queued compaction task.
  */
 class StoreIndex
 {
@@ -186,6 +185,15 @@ class StoreIndex
     static cminer::util::StatusOr<std::shared_ptr<StoreIndex>>
     open(const StoreOptions &options);
 
+    /**
+     * A store with no directory: its buffer never seals on its own and
+     * flush() does nothing. `segment`, when given, is its one sealed
+     * segment (Database::load), and new run ids continue after it.
+     */
+    static std::shared_ptr<StoreIndex>
+    detached(std::string microarch,
+             std::shared_ptr<const Segment> segment = nullptr);
+
     /** Waits for in-flight maintenance; never blocks on readers. */
     ~StoreIndex();
 
@@ -193,16 +201,21 @@ class StoreIndex
     const std::string &microarch() const { return options_.microarch; }
 
     /**
-     * Record one run (single-writer). Validation mirrors
-     * Database::tryAddRun, including the mixed-sampling-interval
-     * rejection. May seal the write buffer inline before returning.
+     * Record one run (single-writer). The one addRun validator: an
+     * empty series list, mismatched series lengths, mixed sampling
+     * intervals, or a non-finite execution time is a DataError, and
+     * nothing is recorded. A store with a directory may seal the write
+     * buffer inline before returning.
      */
     cminer::util::StatusOr<RunId>
     addRun(const std::string &program, const std::string &suite,
            const std::string &mode, double exec_time_ms,
            const std::vector<cminer::ts::TimeSeries> &series);
 
-    /** Seal whatever the write buffer holds (durability barrier). */
+    /**
+     * Seal whatever the write buffer holds (durability barrier). Does
+     * nothing without a directory.
+     */
     cminer::util::Status flush();
 
     /** Block until any queued/running compaction finishes. */

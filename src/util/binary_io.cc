@@ -11,6 +11,7 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -103,9 +104,23 @@ writeAll(int fd, std::span<const std::string_view> pieces)
 
 // --- file helpers ---------------------------------------------------------
 
+Status
+checkRegularFile(const std::string &path)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return Status::dataError("cannot open for reading: " + path);
+    if (!S_ISREG(st.st_mode))
+        return Status::dataError("not a regular file: " + path);
+    return Status::okStatus();
+}
+
 StatusOr<std::string>
 readFileBytes(const std::string &path)
 {
+    const Status regular = checkRegularFile(path);
+    if (!regular.ok())
+        return regular;
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return Status::dataError("cannot open for reading: " + path);

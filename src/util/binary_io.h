@@ -2,14 +2,14 @@
  * @file
  * The checkpoint container format (DESIGN.md §12): a little-endian,
  * versioned binary layout shared by every artifact the system persists
- * (the performance database, trained models, the MAPM artifact).
+ * (database segments, trained models, the MAPM artifact).
  *
  * Layout:
  *
  *   magic[8] "CMCHKPT1"
  *   u32      container format version (currently 1)
  *   u64      total file size in bytes (truncation tripwire)
- *   str      artifact kind ("cminer-db", "gbrt-model", "mapm-artifact")
+ *   str      artifact kind ("cminer-segment", "gbrt-model", ...)
  *   u32      artifact version (per-kind schema number)
  *   u64      section count
  *   section* { str name, u64 payload_size, payload bytes }
@@ -60,7 +60,15 @@ inline constexpr char checkpoint_magic[8] = {'C', 'M', 'C', 'H',
 inline constexpr std::uint32_t checkpoint_container_version = 1;
 
 /**
- * Read a whole file into memory.
+ * OK when `path` names a regular file, else a DataError naming the
+ * path. Every file reader checks this before opening: a directory
+ * opens as a stream whose size reads as huge, and opening a FIFO
+ * blocks.
+ */
+Status checkRegularFile(const std::string &path);
+
+/**
+ * Read a whole regular file into memory.
  * @return the bytes, or a DataError naming the path
  */
 StatusOr<std::string> readFileBytes(const std::string &path);

@@ -2,8 +2,9 @@
  * @file
  * The persistence layer (ctest label "persistence"): checkpoint
  * container round trips, bounded-read corruption handling, model and
- * MAPM-artifact save/load bit-identity, database v2 + legacy v1
- * loading, atomic writes, and the mapm/predict CLI serving path.
+ * MAPM-artifact save/load bit-identity, database save/load (a .cmdb
+ * file is one store segment), atomic writes, and the mapm/predict CLI
+ * serving path.
  *
  * The corruption sweeps are meant to run under ASan/UBSan: every
  * truncation and byte flip must produce a clean Status/FatalError,
@@ -116,9 +117,8 @@ makeRunSeries()
             TimeSeries("IPC", {0.5, 0.6, 0.7}, 200.0)};
 }
 
-// Little-endian raw encoders replicating the legacy v1 database
-// layout, so the compatibility tests are independent of the new
-// writer.
+// Little-endian raw encoders, independent of BinaryWriter, so the raw
+// writer test compares against bytes built value by value.
 void
 putU64(std::string &out, std::uint64_t v)
 {
@@ -139,34 +139,6 @@ putStr(std::string &out, std::string_view s)
 {
     putU64(out, s.size());
     out.append(s.data(), s.size());
-}
-
-/** A well-formed legacy v1 database file: one run, two events. */
-std::string
-legacyV1Bytes()
-{
-    std::string b;
-    b.append("CMDB", 4);
-    putU64(b, 1); // version
-    putStr(b, "haswell-e");
-    putU64(b, 1); // run count
-    putU64(b, 0); // original id
-    putStr(b, "wordcount");
-    putStr(b, "hibench");
-    putStr(b, "mlpx");
-    putF64(b, 42.0);  // exec time
-    putF64(b, 200.0); // interval
-    putU64(b, 2);     // event count
-    putU64(b, 3);     // length
-    putStr(b, "EV_A");
-    putF64(b, 1.0);
-    putF64(b, 2.0);
-    putF64(b, 3.0);
-    putStr(b, "IPC");
-    putF64(b, 0.5);
-    putF64(b, 0.6);
-    putF64(b, 0.7);
-    return b;
 }
 
 // --- container format -----------------------------------------------------
@@ -615,9 +587,9 @@ TEST(DatabaseCheckpoint, V2RoundTripAndByteStability)
     EXPECT_EQ(loaded.runCount(), 2u);
     const auto runs = loaded.findRuns("wordcount");
     ASSERT_EQ(runs.size(), 1u);
-    const TimeSeries series = loaded.series(runs[0], "EV_A");
-    ASSERT_EQ(series.size(), 3u);
-    EXPECT_DOUBLE_EQ(series.at(1), 2.0);
+    const auto values = loaded.seriesValues(runs[0], "EV_A");
+    ASSERT_EQ(values.size(), 3u);
+    EXPECT_DOUBLE_EQ(values[1], 2.0);
     EXPECT_DOUBLE_EQ(loaded.seriesIntervalMs(runs[0]), 200.0);
 
     // save(load(save(db))) is byte-identical.
@@ -626,66 +598,6 @@ TEST(DatabaseCheckpoint, V2RoundTripAndByteStability)
     EXPECT_EQ(readBytes(path), readBytes(path2));
     std::filesystem::remove(path);
     std::filesystem::remove(path2);
-}
-
-TEST(DatabaseCheckpoint, LegacyV1FilesStillLoad)
-{
-    const std::string path = tmpPath("db_v1.cmdb");
-    writeBytes(path, legacyV1Bytes());
-    const store::Database db = store::Database::load(path);
-    EXPECT_EQ(db.microarch(), "haswell-e");
-    EXPECT_EQ(db.runCount(), 1u);
-    const auto runs = db.findRuns("wordcount", "mlpx");
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_DOUBLE_EQ(db.runInfo(runs[0]).execTimeMs, 42.0);
-    const TimeSeries ipc = db.series(runs[0], "IPC");
-    ASSERT_EQ(ipc.size(), 3u);
-    EXPECT_DOUBLE_EQ(ipc.at(2), 0.7);
-    EXPECT_DOUBLE_EQ(db.seriesIntervalMs(runs[0]), 200.0);
-    std::filesystem::remove(path);
-}
-
-TEST(DatabaseCheckpoint, LegacyV1InflatedLengthIsACleanError)
-{
-    // Regression for the pre-checkpoint loader: a corrupt length field
-    // used to drive `std::vector<double> values(length)` directly — a
-    // multi-GB allocation attempt on a 200-byte file. Now it must be a
-    // Status naming the byte offset.
-    std::string b;
-    b.append("CMDB", 4);
-    putU64(b, 1);
-    putStr(b, "haswell-e");
-    putU64(b, 1);
-    putU64(b, 0);
-    putStr(b, "wordcount");
-    putStr(b, "hibench");
-    putStr(b, "mlpx");
-    putF64(b, 42.0);
-    putF64(b, 200.0);
-    putU64(b, 2);
-    putU64(b, 1ULL << 60); // inflated sample count
-    putStr(b, "EV_A");
-
-    const std::string path = tmpPath("db_v1_inflated.cmdb");
-    writeBytes(path, b);
-    auto loaded = store::Database::tryLoad(path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_NE(loaded.status().message().find("offset"),
-              std::string::npos);
-    EXPECT_THROW(store::Database::load(path), FatalError);
-    std::filesystem::remove(path);
-}
-
-TEST(DatabaseCheckpoint, LegacyV1TruncationAtEveryByteFailsCleanly)
-{
-    const std::string bytes = legacyV1Bytes();
-    const std::string path = tmpPath("db_v1_trunc.cmdb");
-    for (std::size_t len = 4; len < bytes.size(); ++len) {
-        writeBytes(path, std::string_view(bytes).substr(0, len));
-        auto loaded = store::Database::tryLoad(path);
-        ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes";
-    }
-    std::filesystem::remove(path);
 }
 
 TEST(DatabaseCheckpoint, V2TruncationAtEveryByteFailsCleanly)

@@ -541,6 +541,26 @@ TEST(Cli, CleanRoundTripsPerfLog)
     std::filesystem::remove(out_path);
 }
 
+TEST(Cli, PathsThatAreNotRegularFilesAreCleanErrors)
+{
+    // A directory opens as a stream whose size reads as huge: each
+    // reader must refuse it by name before sizing anything from it.
+    const std::string dir = "/tmp/cminer_cli_not_a_file";
+    std::filesystem::create_directories(dir);
+    const std::string message = "not a regular file: " + dir;
+
+    std::string output;
+    EXPECT_EQ(cli::run({"explore", dir}, output), 1);
+    EXPECT_NE(output.find(message), std::string::npos) << output;
+    EXPECT_EQ(output.find("allocation"), std::string::npos) << output;
+
+    output.clear();
+    EXPECT_EQ(cli::run({"predict", "db.cmdb", "--model", dir}, output), 1);
+    EXPECT_NE(output.find(message), std::string::npos) << output;
+    EXPECT_EQ(output.find("allocation"), std::string::npos) << output;
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Cli, CleanMissingFileFails)
 {
     std::string output;

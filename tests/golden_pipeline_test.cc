@@ -79,7 +79,7 @@ goldenOptions()
 
 /**
  * One full pipeline run at a fixed seed over a caller-supplied database
- * (in-RAM or segment-backed), serialized.
+ * (with or without a store directory), serialized.
  */
 std::string
 runPipelineJson(std::size_t threads, store::Database &db)
@@ -237,10 +237,10 @@ TEST(GoldenPipeline, ByteIdenticalAcrossSimdDispatchLevels)
 }
 
 // The mining pipeline must not care where the database keeps its bytes:
-// profiling into an out-of-core segment store — with a seal threshold
+// profiling into a directory-backed store — with a seal threshold
 // small enough that the collected runs spill into mapped segment files
-// mid-profile — reproduces the in-RAM document byte-for-byte at every
-// thread count.
+// mid-profile — reproduces the document of a store with no directory,
+// whose runs stay buffered, byte-for-byte at every thread count.
 TEST(GoldenPipeline, ByteIdenticalOnSegmentBackedStore)
 {
     if (std::getenv("CMINER_UPDATE_GOLDEN") != nullptr)

@@ -175,7 +175,7 @@ TEST(Pipeline, DatabaseSurvivesSaveLoadAfterProfiling)
     const auto runs = loaded.findRuns("join", "mlpx");
     ASSERT_EQ(runs.size(), 2u);
     // IPC series persisted alongside events.
-    const auto ipc = loaded.series(runs[0], "IPC");
+    const auto ipc = loaded.seriesValues(runs[0], "IPC");
     EXPECT_GT(ipc.size(), 0u);
     std::filesystem::remove(path);
 }

@@ -211,11 +211,12 @@ TEST_P(DbRoundTripProperty, BitExactThroughSaveLoad)
             EXPECT_DOUBLE_EQ(meta_a.execTimeMs, meta_b.execTimeMs);
             ASSERT_EQ(meta_a.events, meta_b.events);
             for (const auto &event : meta_a.events) {
-                const auto sa = db.series(original_runs[i], event);
-                const auto sb = loaded.series(loaded_runs[i], event);
+                const auto sa = db.seriesValues(original_runs[i], event);
+                const auto sb =
+                    loaded.seriesValues(loaded_runs[i], event);
                 ASSERT_EQ(sa.size(), sb.size());
                 for (std::size_t t = 0; t < sa.size(); ++t)
-                    EXPECT_DOUBLE_EQ(sa.at(t), sb.at(t));
+                    EXPECT_DOUBLE_EQ(sa[t], sb[t]);
             }
         }
     }

@@ -1,12 +1,12 @@
 /**
  * @file
- * Unit tests for the embedded store: cell values, schema validation,
- * table scans, the two-level database organization, binary persistence
- * round-trips, CSV export, and the out-of-core segment store — seal/
- * compaction lifecycle, seal and compaction failure recovery, snapshot
- * pinning, on-disk byte identity against a reference encoder, open-time
- * corruption refusal (checkpoint_test's truncation/byte-flip sweep
- * style), and snapshot stability under concurrent ingest and
+ * Unit tests for the embedded store: the two-level database
+ * organization, save/load round trips (a saved database is one
+ * segment file), CSV export, and the directory-backed segment store —
+ * seal/compaction lifecycle, seal and compaction failure recovery,
+ * snapshot pinning, on-disk byte identity against a reference encoder,
+ * open-time corruption refusal (checkpoint_test's truncation/byte-flip
+ * sweep style), and snapshot stability under concurrent ingest and
  * maintenance.
  */
 
@@ -26,13 +26,12 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "store/database.h"
 #include "store/segment.h"
 #include "store/store_index.h"
-#include "store/table.h"
-#include "store/value.h"
 #include "ts/time_series.h"
 #include "util/error.h"
 #include "util/status.h"
@@ -45,126 +44,12 @@ using cminer::ts::TimeSeries;
 using cminer::util::FatalError;
 using cminer::util::StatusCode;
 
-// --- Value ------------------------------------------------------------
+// A copy would share one store behind two handles; moves are cheap.
+static_assert(!std::is_copy_constructible_v<Database>);
+static_assert(!std::is_copy_assignable_v<Database>);
+static_assert(std::is_nothrow_move_constructible_v<Database>);
 
-TEST(Value, TypeTags)
-{
-    EXPECT_EQ(valueType(Value(std::int64_t{3})), ColumnType::Integer);
-    EXPECT_EQ(valueType(Value(3.5)), ColumnType::Real);
-    EXPECT_EQ(valueType(Value(std::string("x"))), ColumnType::Text);
-}
-
-TEST(Value, Extractors)
-{
-    EXPECT_EQ(asInteger(Value(std::int64_t{7})), 7);
-    EXPECT_DOUBLE_EQ(asReal(Value(2.5)), 2.5);
-    EXPECT_DOUBLE_EQ(asReal(Value(std::int64_t{4})), 4.0); // widening
-    EXPECT_EQ(asText(Value(std::string("abc"))), "abc");
-}
-
-TEST(Value, ExtractorTypeMismatchThrows)
-{
-    EXPECT_THROW(asInteger(Value(1.5)), FatalError);
-    EXPECT_THROW(asReal(Value(std::string("x"))), FatalError);
-    EXPECT_THROW(asText(Value(std::int64_t{1})), FatalError);
-}
-
-TEST(Value, ToStringRendering)
-{
-    EXPECT_EQ(toString(Value(std::int64_t{42})), "42");
-    EXPECT_EQ(toString(Value(std::string("text"))), "text");
-    EXPECT_EQ(toString(Value(1.5)), "1.5");
-}
-
-// --- Schema / Table -----------------------------------------------------
-
-Schema
-testSchema()
-{
-    return Schema({{"id", ColumnType::Integer},
-                   {"name", ColumnType::Text},
-                   {"value", ColumnType::Real}});
-}
-
-TEST(Schema, DuplicateColumnRejected)
-{
-    EXPECT_THROW(Schema({{"a", ColumnType::Integer},
-                         {"a", ColumnType::Real}}),
-                 FatalError);
-}
-
-TEST(Schema, EmptyColumnNameRejected)
-{
-    EXPECT_THROW(Schema({{"", ColumnType::Integer}}), FatalError);
-}
-
-TEST(Schema, IndexLookup)
-{
-    const Schema schema = testSchema();
-    EXPECT_EQ(schema.indexOf("value"), 2u);
-    EXPECT_TRUE(schema.hasColumn("name"));
-    EXPECT_FALSE(schema.hasColumn("missing"));
-    EXPECT_THROW(schema.indexOf("missing"), FatalError);
-}
-
-TEST(Table, InsertAndScan)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), 1.5});
-    table.insert({std::int64_t{2}, std::string("b"), 2.5});
-    EXPECT_EQ(table.rowCount(), 2u);
-    EXPECT_EQ(asText(table.row(1)[1]), "b");
-
-    const auto matched = table.select([](const Row &row) {
-        return asReal(row[2]) > 2.0;
-    });
-    ASSERT_EQ(matched.size(), 1u);
-    EXPECT_EQ(asInteger(matched[0][0]), 2);
-}
-
-TEST(Table, ArityMismatchRejected)
-{
-    Table table("t", testSchema());
-    EXPECT_THROW(table.insert({std::int64_t{1}}), FatalError);
-}
-
-TEST(Table, TypeMismatchRejected)
-{
-    Table table("t", testSchema());
-    EXPECT_THROW(
-        table.insert({std::string("bad"), std::string("a"), 1.0}),
-        FatalError);
-}
-
-TEST(Table, IntegerWidensIntoRealColumn)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), std::int64_t{3}});
-    EXPECT_DOUBLE_EQ(asReal(table.row(0)[2]), 3.0);
-    // Stored normalized as a real.
-    EXPECT_EQ(valueType(table.row(0)[2]), ColumnType::Real);
-}
-
-TEST(Table, ColumnProjection)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), 1.0});
-    table.insert({std::int64_t{2}, std::string("b"), 4.0});
-    const auto values = table.numericColumn("value");
-    ASSERT_EQ(values.size(), 2u);
-    EXPECT_DOUBLE_EQ(values[1], 4.0);
-}
-
-TEST(Table, ClearKeepsSchema)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), 1.0});
-    table.clear();
-    EXPECT_EQ(table.rowCount(), 0u);
-    EXPECT_EQ(table.schema().size(), 3u);
-}
-
-// --- Database ----------------------------------------------------------
+// --- shared helpers -----------------------------------------------------
 
 std::vector<TimeSeries>
 makeSeries()
@@ -172,6 +57,51 @@ makeSeries()
     return {TimeSeries("EV_A", {1.0, 2.0, 3.0}, 10.0),
             TimeSeries("EV_B", {4.0, 5.0, 6.0}, 10.0)};
 }
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, std::string_view bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Fresh scratch directory for one store test. */
+std::string
+storeDir(const std::string &name)
+{
+    const std::string dir = "/tmp/cminer_store_" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/**
+ * One deterministic run: EV_A[t] = base + t, EV_B[t] = 2*base + t,
+ * sampled on one 10 ms clock — recomputable from the run id alone, so
+ * readers can verify any run without shared state.
+ */
+std::vector<TimeSeries>
+makeRunSeries(std::size_t length, double base)
+{
+    std::vector<double> a(length);
+    std::vector<double> b(length);
+    for (std::size_t t = 0; t < length; ++t) {
+        a[t] = base + static_cast<double>(t);
+        b[t] = 2.0 * base + static_cast<double>(t);
+    }
+    return {TimeSeries("EV_A", std::move(a), 10.0),
+            TimeSeries("EV_B", std::move(b), 10.0)};
+}
+
+// --- Database ----------------------------------------------------------
 
 TEST(Database, AddRunAndQuery)
 {
@@ -187,10 +117,10 @@ TEST(Database, AddRunAndQuery)
     ASSERT_EQ(meta.events.size(), 2u);
     EXPECT_EQ(meta.events[0], "EV_A");
 
-    const TimeSeries series = db.series(id, "EV_B");
-    ASSERT_EQ(series.size(), 3u);
-    EXPECT_DOUBLE_EQ(series.at(2), 6.0);
-    EXPECT_DOUBLE_EQ(series.intervalMs(), 10.0);
+    const auto values = db.seriesValues(id, "EV_B");
+    ASSERT_EQ(values.size(), 3u);
+    EXPECT_DOUBLE_EQ(values[2], 6.0);
+    EXPECT_DOUBLE_EQ(db.seriesIntervalMs(id), 10.0);
 }
 
 TEST(Database, TryAddRunRejectsUnusableRunsRecoverably)
@@ -232,15 +162,17 @@ TEST(Database, TwoLevelOrganization)
     Database db;
     const RunId id =
         db.addRun("sort", "hibench", "ocoe", 10.0, makeSeries());
-    // Level 1: catalog row for the run, naming the level-2 table.
-    EXPECT_EQ(db.catalog().rowCount(), 1u);
-    const auto &catalog_row = db.catalog().row(0);
-    EXPECT_EQ(asText(catalog_row[6]), "run_" + std::to_string(id));
-    // Level 2: the per-run series table with one column per event.
-    const Table &level2 = db.seriesTable(id);
-    EXPECT_EQ(level2.rowCount(), 3u); // intervals
-    EXPECT_TRUE(level2.schema().hasColumn("EV_A"));
-    EXPECT_TRUE(level2.schema().hasColumn("interval"));
+    // Level 1: the catalog entry for the run, naming its level-2 table.
+    EXPECT_EQ(db.runCount(), 1u);
+    const RunMetadata &meta = db.runInfo(id);
+    EXPECT_EQ(meta.seriesTable, "run_" + std::to_string(id));
+    EXPECT_EQ(meta.events, (std::vector<std::string>{"EV_A", "EV_B"}));
+    // Level 2: the run's series, one column per event and one value
+    // per interval.
+    const StoreSnapshot snap = db.snapshot();
+    EXPECT_EQ(snap.length(id), 3u);
+    EXPECT_EQ(snap.values(id, 0)[2], 3.0);
+    EXPECT_EQ(snap.values(id, "EV_B")[0], 4.0);
 }
 
 TEST(Database, FindRunsByProgramAndMode)
@@ -270,7 +202,7 @@ TEST(Database, UnknownRunAndEventRejected)
     Database db;
     const RunId id = db.addRun("p", "s", "ocoe", 1.0, makeSeries());
     EXPECT_THROW(db.runInfo(id + 100), FatalError);
-    EXPECT_THROW(db.series(id, "NO_SUCH_EVENT"), FatalError);
+    EXPECT_THROW(db.seriesValues(id, "NO_SUCH_EVENT"), FatalError);
 }
 
 TEST(Database, SaveLoadRoundTrip)
@@ -287,11 +219,66 @@ TEST(Database, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.runCount(), 2u);
     const auto runs = loaded.findRuns("wordcount");
     ASSERT_EQ(runs.size(), 1u);
-    const TimeSeries series = loaded.series(runs[0], "EV_A");
-    ASSERT_EQ(series.size(), 3u);
-    EXPECT_DOUBLE_EQ(series.at(1), 2.0);
+    const auto values = loaded.seriesValues(runs[0], "EV_A");
+    ASSERT_EQ(values.size(), 3u);
+    EXPECT_DOUBLE_EQ(values[1], 2.0);
     EXPECT_DOUBLE_EQ(loaded.runInfo(runs[0]).execTimeMs, 42.0);
     std::filesystem::remove(path);
+}
+
+TEST(Database, EmptyDatabaseSavesAndLoads)
+{
+    const std::string path = "/tmp/cminer_db_empty.cmdb";
+    Database("skylake-x").save(path);
+    Database loaded = Database::load(path);
+    EXPECT_EQ(loaded.microarch(), "skylake-x");
+    EXPECT_EQ(loaded.runCount(), 0u);
+    EXPECT_TRUE(loaded.programs().empty());
+    // The first run added to it takes id 0.
+    EXPECT_EQ(loaded.addRun("p", "s", "mlpx", 1.0, makeSeries()), 0);
+    std::filesystem::remove(path);
+}
+
+TEST(Database, LoadedDatabaseAcceptsRunsAndSavesAgain)
+{
+    const std::string path = "/tmp/cminer_db_extend.cmdb";
+    const std::string again = "/tmp/cminer_db_extend_again.cmdb";
+    {
+        Database db("haswell-e");
+        db.addRun("wordcount", "hibench", "mlpx", 42.0, makeSeries());
+        db.addRun("sort", "hibench", "ocoe", 24.0, makeSeries());
+        db.save(path);
+    }
+    Database loaded = Database::load(path);
+    // Ids continue from the file's last run; the new run stays
+    // buffered beside the mapped segment, and both read back.
+    const RunId id = loaded.addRun(
+        "scan", "hibench", "mlpx", 12.0,
+        {TimeSeries("EV_A", {7.0, 8.0}, 5.0),
+         TimeSeries("EV_C", {9.0, 10.0}, 5.0)});
+    EXPECT_EQ(id, 2);
+    EXPECT_EQ(loaded.runCount(), 3u);
+    EXPECT_EQ(loaded.storeStats().bufferedRuns, 1u);
+    EXPECT_EQ(loaded.seriesValues(1, "EV_B")[2], 6.0);
+    EXPECT_EQ(loaded.seriesValues(id, "EV_C")[1], 10.0);
+    // flush() has no directory to seal into: the run stays buffered.
+    loaded.flush();
+    EXPECT_EQ(loaded.storeStats().bufferedRuns, 1u);
+
+    // Saving writes the mapped and the buffered runs into one file,
+    // here over the file the database was loaded from (save replaces
+    // it by rename, so the live mapping keeps the old pages).
+    loaded.save(path);
+    loaded.save(again);
+    EXPECT_EQ(readBytes(path), readBytes(again));
+    Database reloaded = Database::load(path);
+    ASSERT_EQ(reloaded.runCount(), 3u);
+    EXPECT_EQ(reloaded.findRuns("scan"), std::vector<RunId>{2});
+    EXPECT_DOUBLE_EQ(reloaded.seriesIntervalMs(2), 5.0);
+    EXPECT_EQ(reloaded.seriesValues(2, "EV_A")[0], 7.0);
+    EXPECT_EQ(reloaded.seriesValues(0, "EV_A")[2], 3.0);
+    std::filesystem::remove(path);
+    std::filesystem::remove(again);
 }
 
 TEST(Database, LoadRejectsGarbage)
@@ -324,55 +311,27 @@ TEST(Database, ExportCsvWritesCatalogAndRuns)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Database, ExportCsvIntoARegularFileIsAFatalError)
+{
+    const std::string path = "/tmp/cminer_db_export_file";
+    std::filesystem::remove_all(path);
+    writeBytes(path, "not a directory");
+    Database db;
+    db.addRun("p", "s", "mlpx", 1.0, makeSeries());
+    try {
+        db.exportCsv(path);
+        ADD_FAILURE() << "exportCsv into a regular file succeeded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove(path);
+}
+
 TEST(Database, EmptyRunRejected)
 {
     Database db;
     EXPECT_THROW(db.addRun("p", "s", "ocoe", 1.0, {}), FatalError);
-}
-
-// --- shared helpers for the bugfix and out-of-core suites ---------------
-
-std::string
-readBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
-void
-writeBytes(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-/** Fresh scratch directory for one out-of-core test. */
-std::string
-storeDir(const std::string &name)
-{
-    const std::string dir = "/tmp/cminer_store_" + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
-/**
- * One deterministic run: EV_A[t] = base + t, EV_B[t] = 2*base + t,
- * sampled on one 10 ms clock — recomputable from the run id alone, so
- * readers can verify any run without shared state.
- */
-std::vector<TimeSeries>
-makeRunSeries(std::size_t length, double base)
-{
-    std::vector<double> a(length);
-    std::vector<double> b(length);
-    for (std::size_t t = 0; t < length; ++t) {
-        a[t] = base + static_cast<double>(t);
-        b[t] = 2.0 * base + static_cast<double>(t);
-    }
-    return {TimeSeries("EV_A", std::move(a), 10.0),
-            TimeSeries("EV_B", std::move(b), 10.0)};
 }
 
 // --- mixed-sampling-interval rejection (regression) ---------------------
@@ -481,6 +440,8 @@ TEST(Database, ExportCsvRemovesStaleRunFiles)
     // Files that are not ours must survive the cleanup.
     writeBytes(dir + "/notes.txt", "keep");
     writeBytes(dir + "/run_x.csv", "keep");
+    // An id too large for RunId is stale too, not a parse failure.
+    writeBytes(dir + "/run_99999999999999999999.csv", "stale");
 
     Database small;
     small.addRun("p", "s", "mlpx", 1.0, makeSeries());
@@ -492,6 +453,8 @@ TEST(Database, ExportCsvRemovesStaleRunFiles)
     EXPECT_TRUE(std::filesystem::exists(dir + "/run_0.csv"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/run_1.csv"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/run_2.csv"));
+    EXPECT_FALSE(std::filesystem::exists(
+        dir + "/run_99999999999999999999.csv"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/notes.txt"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/run_x.csv"));
     std::filesystem::remove_all(dir);
@@ -510,7 +473,6 @@ TEST(OutOfCoreDatabase, SealedStoreReopensWithIdenticalContents)
     constexpr std::size_t length = 64;
     {
         Database db = Database::openStore(options);
-        EXPECT_TRUE(db.outOfCore());
         for (std::size_t i = 0; i < runs; ++i)
             db.addRun("prog" + std::to_string(i % 3), "suite",
                       i % 2 != 0 ? "mlpx" : "ocoe",
@@ -548,39 +510,14 @@ TEST(OutOfCoreDatabase, SealedStoreReopensWithIdenticalContents)
     const auto programs = db.programs();
     ASSERT_EQ(programs.size(), 3u);
     EXPECT_EQ(programs.front(), "prog0");
-    // The copying TimeSeries accessor rides the same column path.
-    const TimeSeries copy =
-        db.series(static_cast<RunId>(3), "EV_A");
-    EXPECT_DOUBLE_EQ(copy.at(5), 3005.0);
     EXPECT_THROW(db.runInfo(static_cast<RunId>(runs) + 7), FatalError);
 
-    // CSV export reads through a snapshot, so it works out-of-core too.
+    // CSV export reads through a snapshot of the segments.
     const std::string csv_dir = dir + "_csv";
     db.exportCsv(csv_dir);
     EXPECT_TRUE(std::filesystem::exists(csv_dir + "/catalog.csv"));
     EXPECT_TRUE(std::filesystem::exists(csv_dir + "/run_9.csv"));
     std::filesystem::remove_all(csv_dir);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(OutOfCoreDatabase, InRamOnlyApisRefuse)
-{
-    const std::string dir = storeDir("api_refusal");
-    StoreOptions options;
-    options.directory = dir;
-    {
-        Database db = Database::openStore(options);
-        db.addRun("p", "s", "mlpx", 1.0, makeRunSeries(8, 1.0));
-        // The Table-backed views and single-file save() belong to the
-        // in-RAM mode; out-of-core they must refuse loudly rather than
-        // return something half-true.
-        EXPECT_THROW(db.catalog(), FatalError);
-        EXPECT_THROW(db.seriesTable(0), FatalError);
-        EXPECT_THROW(db.save("/tmp/cminer_store_api.cmdb"), FatalError);
-        const auto status = db.trySave("/tmp/cminer_store_api.cmdb");
-        ASSERT_FALSE(status.ok());
-        EXPECT_NE(status.message().find("flush"), std::string::npos);
-    }
     std::filesystem::remove_all(dir);
 }
 
@@ -1137,6 +1074,91 @@ TEST(SegmentFile, CompactedBytesMatchOneSealAndReferenceEncoder)
     const ReferenceBytes expected = referenceSegment("haswell-e", runs);
     EXPECT_EQ(firstDifference(merged, expected.bytes),
               std::string_view::npos);
+}
+
+TEST(OutOfCoreDatabase, SaveFromSegmentsAndBufferRoundTripsBitForBit)
+{
+    const auto runs = referenceRuns();
+    const std::string dir = storeDir("save_spread");
+    const std::string path = dir + "_saved.cmdb";
+    StoreOptions options;
+    options.directory = dir;
+    options.compactFanIn = 100; // keep the segments apart
+    Database db = Database::openStore(options);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        db.addRun(runs[i].program, "suite", runs[i].mode,
+                  runs[i].execTimeMs, runs[i].series);
+        if (i == 2 || i == 5)
+            db.flush(); // segments [0, 2] and [3, 5]
+    }
+    const StoreStats stats = db.storeStats();
+    ASSERT_EQ(stats.segmentCount, 2u);
+    ASSERT_EQ(stats.bufferedRuns, 2u);
+
+    // One file holding every run, sealed or buffered, in id order: the
+    // same bytes one seal of all eight runs would write.
+    db.save(path);
+    const ReferenceBytes expected = referenceSegment("haswell-e", runs);
+    EXPECT_EQ(firstDifference(readBytes(path), expected.bytes),
+              std::string_view::npos);
+
+    const Database loaded = Database::load(path);
+    ASSERT_EQ(loaded.runCount(), runs.size());
+    const StoreSnapshot snap = loaded.snapshot();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const RunId id = static_cast<RunId>(i);
+        const RunMetadata &meta = snap.runInfo(id);
+        EXPECT_EQ(meta.program, runs[i].program);
+        EXPECT_EQ(meta.mode, runs[i].mode);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(meta.execTimeMs),
+                  std::bit_cast<std::uint64_t>(runs[i].execTimeMs));
+        ASSERT_EQ(meta.events.size(), runs[i].series.size());
+        for (std::size_t e = 0; e < meta.events.size(); ++e) {
+            const auto &want = runs[i].series[e].values();
+            const auto got = snap.values(id, e);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t t = 0; t < want.size(); ++t)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t]),
+                          std::bit_cast<std::uint64_t>(want[t]))
+                    << "run " << i << " event " << e << " t " << t;
+        }
+    }
+    std::filesystem::remove(path);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Database, LoadRejectsASegmentNotStartingAtRunZero)
+{
+    // A store directory's second segment starts at run 4: it is not a
+    // saved database, and load() must say so rather than renumber.
+    const std::string dir = storeDir("not_at_zero");
+    StoreOptions options;
+    options.directory = dir;
+    options.compactFanIn = 100;
+    std::string later;
+    {
+        Database db = Database::openStore(options);
+        for (std::size_t i = 0; i < 8; ++i) {
+            db.addRun("p", "s", "mlpx", 1.0,
+                      makeRunSeries(16, static_cast<double>(i)));
+            if (i == 3)
+                db.flush();
+        }
+        db.flush();
+    }
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("seg_000000000004_", 0) == 0)
+            later = entry.path().string();
+    }
+    ASSERT_FALSE(later.empty());
+    const auto loaded = Database::tryLoad(later);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::DataError);
+    EXPECT_NE(loaded.status().message().find("first run id is 4"),
+              std::string::npos)
+        << loaded.status().message();
+    std::filesystem::remove_all(dir);
 }
 
 // --- segment file corruption sweep (checkpoint_test style) --------------
