@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "core/collector.h"
-#include "ml/dataset.h"
+#include "ml/gbrt.h"
 #include "stats/descriptive.h"
 #include "util/binary_io.h"
 #include "util/error.h"
@@ -222,16 +222,9 @@ AnomalyScorer::runResidual(std::span<const double> predicted,
 }
 
 StatusOr<ScoreResult>
-AnomalyScorer::scoreColumns(std::vector<std::vector<double>> columns,
-                            std::span<const double> measured) const
+AnomalyScorer::verdict(std::span<const double> predictions,
+                       std::span<const double> measured) const
 {
-    const std::size_t rows = measured.size();
-    const ml::Dataset data = ml::Dataset::fromColumns(
-        model_->events, std::move(columns),
-        std::vector<double>(rows, 0.0));
-    const std::vector<double> predictions =
-        model_->model.predictAll(data);
-
     ScoreResult result;
     result.meanResidual = runResidual(predictions, measured);
     result.residualZ =
@@ -296,12 +289,15 @@ AnomalyScorer::score(std::span<const double> values,
             "', but the wire path only carries the measured IPC "
             "series");
 
-    std::vector<std::vector<double>> columns(
-        events, std::vector<double>(row_count));
-    for (std::size_t row = 0; row < row_count; ++row)
-        for (std::size_t e = 0; e < events; ++e)
-            columns[e][row] = values[row * events + e];
-    auto scored = scoreColumns(std::move(columns), measured);
+    // The walk reads the request's row-major matrix where it sits.
+    std::vector<double> predictions(row_count);
+    model_->model.predictAll(
+        row_count, events,
+        [&](std::size_t feature, std::size_t row) {
+            return values[row * events + feature];
+        },
+        predictions);
+    auto scored = verdict(predictions, measured);
     if (!scored.ok())
         return scored;
     util::count("mining.scores");
@@ -313,17 +309,17 @@ AnomalyScorer::score(std::span<const double> values,
 namespace {
 
 /**
- * Gather one stored run's feature columns in model event order plus
- * its measured IPC. Event names resolve through the catalog's paper
- * abbreviations, matching the dataset-build convention.
+ * One stored run's feature columns in model event order, read in place
+ * from the snapshot, plus its measured IPC. Event names resolve through
+ * the catalog's paper abbreviations, matching the dataset-build
+ * convention; each stored name is resolved once per run.
  */
 Status
-gatherRunColumns(const cminer::store::StoreSnapshot &snap,
-                 cminer::store::RunId id,
-                 const cminer::pmu::EventCatalog &catalog,
-                 const cminer::core::MapmArtifact &model,
-                 std::vector<std::vector<double>> &columns,
-                 std::span<const double> &measured)
+runColumns(const cminer::store::StoreSnapshot &snap, cminer::store::RunId id,
+           const cminer::pmu::EventCatalog &catalog,
+           const cminer::core::MapmArtifact &model,
+           std::vector<const double *> &columns,
+           std::span<const double> &measured)
 {
     const auto &events = snap.runInfo(id).events;
     if (events.size() < 2 || events.back() != core::ipc_series_name)
@@ -331,25 +327,23 @@ gatherRunColumns(const cminer::store::StoreSnapshot &snap,
             "run %llu does not end in the %s series",
             static_cast<unsigned long long>(id),
             core::ipc_series_name));
+    std::vector<std::string_view> names;
+    names.reserve(events.size() - 1);
+    for (std::size_t s = 0; s + 1 < events.size(); ++s) {
+        const auto eid = catalog.findByName(events[s]);
+        names.push_back(eid ? catalog.info(*eid).abbrev : events[s]);
+    }
     columns.clear();
     columns.reserve(model.events.size());
     for (const auto &wanted : model.events) {
-        bool found = false;
-        for (std::size_t s = 0; s + 1 < events.size(); ++s) {
-            const auto eid = catalog.findByName(events[s]);
-            const std::string &name =
-                eid ? catalog.info(*eid).abbrev : events[s];
-            if (name == wanted) {
-                const auto span = snap.values(id, s);
-                columns.emplace_back(span.begin(), span.end());
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+        const auto found = std::find(names.begin(), names.end(), wanted);
+        if (found == names.end())
             return Status::dataError(util::format(
                 "run %llu lacks model event '%s'",
                 static_cast<unsigned long long>(id), wanted.c_str()));
+        columns.push_back(
+            snap.values(id, static_cast<std::size_t>(found - names.begin()))
+                .data());
     }
     measured = snap.values(id, events.size() - 1);
     if (const auto bad = firstNonFinite(measured))
@@ -358,6 +352,25 @@ gatherRunColumns(const cminer::store::StoreSnapshot &snap,
             static_cast<unsigned long long>(id), core::ipc_series_name,
             *bad, measured[*bad]));
     return Status::okStatus();
+}
+
+/**
+ * The model's prediction for each of a stored run's `rows` rows, read
+ * from the run's columns in place (every series of a run has the
+ * run's length).
+ */
+std::vector<double>
+predictColumns(const ml::Gbrt &model,
+               const std::vector<const double *> &columns, std::size_t rows)
+{
+    std::vector<double> predictions(rows);
+    model.predictAll(
+        rows, columns.size(),
+        [&](std::size_t feature, std::size_t row) {
+            return columns[feature][row];
+        },
+        predictions);
+    return predictions;
 }
 
 } // namespace
@@ -371,13 +384,14 @@ AnomalyScorer::scoreRun(const cminer::store::StoreSnapshot &snap,
     if (clusters_.residualZThreshold <= 0.0)
         return Status::dataError(
             "cluster artifact is uncalibrated; refusing to score");
-    std::vector<std::vector<double>> columns;
+    std::vector<const double *> columns;
     std::span<const double> measured;
-    if (Status gathered = gatherRunColumns(snap, id, catalog, *model_,
-                                           columns, measured);
-        !gathered.ok())
-        return gathered;
-    auto scored = scoreColumns(std::move(columns), measured);
+    if (Status found =
+            runColumns(snap, id, catalog, *model_, columns, measured);
+        !found.ok())
+        return found;
+    auto scored = verdict(
+        predictColumns(model_->model, columns, measured.size()), measured);
     if (!scored.ok())
         return scored;
     util::count("mining.scores");
@@ -413,20 +427,16 @@ AnomalyScorer::calibrate(
     std::vector<double> residuals;
     residuals.reserve(ids.size());
     double max_distance = 0.0;
+    std::vector<const double *> columns;
     for (const auto id : ids) {
-        std::vector<std::vector<double>> columns;
         std::span<const double> measured;
-        if (Status gathered = gatherRunColumns(snap, id, catalog,
-                                               *model, columns,
-                                               measured);
-            !gathered.ok())
-            return gathered.withContext("calibrate");
-        const ml::Dataset data = ml::Dataset::fromColumns(
-            model->events, std::move(columns),
-            std::vector<double>(measured.size(), 0.0));
-        const std::vector<double> predictions =
-            model->model.predictAll(data);
-        residuals.push_back(runResidual(predictions, measured));
+        if (Status found =
+                runColumns(snap, id, catalog, *model, columns, measured);
+            !found.ok())
+            return found.withContext("calibrate");
+        residuals.push_back(runResidual(
+            predictColumns(model->model, columns, measured.size()),
+            measured));
         if (!medoids.empty()) {
             const std::vector<double> signature =
                 makeSignature(measured, clusters.signature);

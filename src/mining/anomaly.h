@@ -195,10 +195,10 @@ class AnomalyScorer
               const CalibrationOptions &options = {});
 
   private:
-    /** Prediction + residual + signature for one run's columns. */
+    /** Residual + signature verdict for one run's predictions. */
     cminer::util::StatusOr<ScoreResult>
-    scoreColumns(std::vector<std::vector<double>> columns,
-                 std::span<const double> measured) const;
+    verdict(std::span<const double> predictions,
+            std::span<const double> measured) const;
 
     std::shared_ptr<const cminer::core::MapmArtifact> model_;
     ClusterArtifact clusters_;

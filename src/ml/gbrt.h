@@ -22,6 +22,7 @@
 #include "ml/dataset_view.h"
 #include "ml/decision_tree.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cminer::ml {
 
@@ -82,6 +83,29 @@ class Gbrt
 
     /** Predictions for every visible row of a dataset view. */
     std::vector<double> predictAll(const DatasetView &data) const;
+
+    /**
+     * predictRows() for `count` rows on the pool, in 256-row chunks
+     * that each write their own slots of `out`, so the result is bit
+     * for bit the same at any thread count. Callers feed the walk from
+     * wherever their values already sit: value_of(feature, row) for
+     * row < count.
+     */
+    template <typename ValueOf>
+    void predictAll(std::size_t count, std::size_t width, ValueOf &&value_of,
+                    std::span<double> out) const
+    {
+        CM_ASSERT(out.size() >= count);
+        cminer::util::parallelFor(
+            0, count, kRowBlock, [&](std::size_t lo, std::size_t hi) {
+                predictRows(
+                    hi - lo, width,
+                    [&](std::size_t feature, std::size_t row) {
+                        return value_of(feature, lo + row);
+                    },
+                    out.subspan(lo, hi - lo));
+            });
+    }
 
     /**
      * Predictions for `count` rows whose features come from
@@ -163,7 +187,10 @@ class Gbrt
     static Gbrt deserialize(cminer::util::BinaryReader &in);
 
   private:
-    /** Rows predictRows() takes through every tree at a time. */
+    /**
+     * Rows predictRows() takes through every tree at a time, and the
+     * rows of one pool chunk of predictAll().
+     */
     static constexpr std::size_t kRowBlock = 256;
 
     /** Fatal unless `width` covers every model feature. */

@@ -30,18 +30,38 @@ using cminer::util::StatusOr;
 void
 RegressionTree::serialize(BinaryWriter &out) const
 {
-    // The record keeps its leaf flag and 64-bit fields; a leaf writes
-    // zeros for its feature, threshold and children.
-    out.u64(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const Node &node = nodes_[i];
-        const bool leaf = node.child[0] == i;
+    // Model files hold each tree's records in preorder: a split's left
+    // child is the next record and its right child follows the left
+    // subtree. A record keeps its leaf flag and 64-bit fields; a leaf
+    // writes zeros for its feature, threshold and children. Children
+    // sit after their parent in memory, so one backward pass sizes
+    // every subtree.
+    const std::size_t count = value_.size();
+    std::vector<std::uint64_t> subtree(count, 1);
+    for (std::size_t i = count; i-- > 0;)
+        if (!isLeaf(i))
+            subtree[i] += subtree[first_[i]] + subtree[first_[i] + 1];
+    out.u64(count);
+    // A preorder walk holds at most one pending node per level.
+    std::vector<std::uint32_t> pending;
+    pending.reserve(depth_ + 1);
+    if (count > 0)
+        pending.push_back(0);
+    for (std::uint64_t record = 0; !pending.empty(); ++record) {
+        const std::uint32_t node = pending.back();
+        pending.pop_back();
+        const bool leaf = isLeaf(node);
+        const std::uint64_t left = record + 1;
         out.u8(leaf ? 1 : 0);
-        out.f64(node.value);
-        out.u64(leaf ? 0 : node.feature);
-        out.f64(leaf ? 0.0 : node.threshold);
-        out.u64(leaf ? 0 : node.child[0]);
-        out.u64(leaf ? 0 : node.child[1]);
+        out.f64(value_[node]);
+        out.u64(leaf ? 0 : feature_[node]);
+        out.f64(leaf ? 0.0 : threshold_[node]);
+        out.u64(leaf ? 0 : left);
+        out.u64(leaf ? 0 : left + subtree[first_[node]]);
+        if (!leaf) {
+            pending.push_back(first_[node] + 1);
+            pending.push_back(first_[node]);
+        }
     }
     out.u64(splits_.size());
     for (const SplitRecord &split : splits_) {
@@ -51,22 +71,34 @@ RegressionTree::serialize(BinaryWriter &out) const
 }
 
 RegressionTree
-RegressionTree::deserialize(BinaryReader &in, std::size_t feature_count)
+RegressionTree::deserialize(BinaryReader &in, std::size_t feature_count,
+                            std::size_t tree_index)
 {
     RegressionTree tree;
     // One node is 1 + 8 + 8 + 8 + 8 + 8 bytes on disk.
     const std::uint64_t node_count = in.count(41);
-    if (in.ok() && node_count > std::numeric_limits<std::uint32_t>::max())
+    if (in.ok() && node_count >= std::numeric_limits<std::uint32_t>::max())
         in.fail(cminer::util::format(
-            "tree has %llu nodes, more than a 32-bit index reaches",
-            static_cast<unsigned long long>(node_count)));
+            "tree %zu has %llu nodes, more than a 32-bit index reaches",
+            tree_index, static_cast<unsigned long long>(node_count)));
     if (!in.ok())
         return RegressionTree();
-    tree.nodes_.reserve(node_count);
-    // Longest path from the root to each node. Children point forward,
-    // so a node's entry is final before the node is read; a child two
-    // parents share keeps the deeper one.
-    std::vector<std::size_t> node_depth(node_count, 0);
+    // Children come after their parent, so a node's slot and depth are
+    // known by the time its record is read: each split hands its
+    // children the next two free slots, left first. For the preorder
+    // records every writer emits, that is the layout fit() makes.
+    // Every node but the root must have exactly one parent.
+    constexpr std::uint64_t none = std::numeric_limits<std::uint64_t>::max();
+    struct Place
+    {
+        std::uint64_t parent = none;
+        std::uint32_t slot = 0;
+        std::uint32_t depth = 0;
+    };
+    std::vector<Place> place(node_count);
+    tree.clearNodes(node_count);
+    tree.appendLeaves(node_count);
+    std::uint32_t next = 1;
     for (std::uint64_t i = 0; i < node_count && in.ok(); ++i) {
         const bool leaf = in.u8() != 0;
         const double value = in.f64();
@@ -76,15 +108,14 @@ RegressionTree::deserialize(BinaryReader &in, std::size_t feature_count)
         const std::size_t right = in.u64();
         if (!in.ok())
             break;
-        const auto self = static_cast<std::uint32_t>(i);
-        if (leaf) {
-            tree.nodes_.push_back({.value = value, .child = {self, self}});
+        const std::uint32_t slot = place[i].slot;
+        tree.value_[slot] = value;
+        if (leaf)
             continue;
-        }
         if (feature >= feature_count) {
             in.fail(cminer::util::format(
-                "tree node %llu splits on feature %zu of %zu",
-                static_cast<unsigned long long>(i), feature,
+                "tree %zu node %llu splits on feature %zu of %zu",
+                tree_index, static_cast<unsigned long long>(i), feature,
                 feature_count));
             break;
         }
@@ -93,23 +124,37 @@ RegressionTree::deserialize(BinaryReader &in, std::size_t feature_count)
         if (left <= i || right <= i || left >= node_count ||
             right >= node_count) {
             in.fail(cminer::util::format(
-                "tree node %llu has out-of-order children "
+                "tree %zu node %llu has out-of-order children "
                 "(%zu, %zu of %llu nodes)",
-                static_cast<unsigned long long>(i), left, right,
-                static_cast<unsigned long long>(node_count)));
+                tree_index, static_cast<unsigned long long>(i), left,
+                right, static_cast<unsigned long long>(node_count)));
             break;
         }
         for (const std::size_t child : {left, right}) {
-            node_depth[child] =
-                std::max(node_depth[child], node_depth[i] + 1);
-            tree.depth_ = std::max(tree.depth_, node_depth[child]);
+            if (place[child].parent != none) {
+                in.fail(cminer::util::format(
+                    "tree %zu node %zu has two parents (nodes %llu and "
+                    "%llu)",
+                    tree_index, child,
+                    static_cast<unsigned long long>(place[child].parent),
+                    static_cast<unsigned long long>(i)));
+                break;
+            }
+            place[child].parent = i;
+            place[child].slot = next++;
+            place[child].depth = place[i].depth + 1;
         }
-        tree.nodes_.push_back({.threshold = threshold,
-                               .value = value,
-                               .feature = static_cast<std::uint32_t>(feature),
-                               .child = {static_cast<std::uint32_t>(left),
-                                         static_cast<std::uint32_t>(right)}});
+        tree.feature_[slot] = static_cast<std::uint32_t>(feature);
+        tree.threshold_[slot] = threshold;
+        tree.first_[slot] = place[left].slot;
+        tree.depth_ = std::max<std::size_t>(tree.depth_, place[left].depth);
     }
+    for (std::uint64_t i = 1; i < node_count && in.ok(); ++i)
+        if (place[i].parent == none)
+            in.fail(cminer::util::format(
+                "tree %zu node %llu has no parent", tree_index,
+                static_cast<unsigned long long>(i)));
+
     const std::uint64_t split_count = in.count(16);
     tree.splits_.reserve(split_count);
     for (std::uint64_t i = 0; i < split_count && in.ok(); ++i) {
@@ -118,14 +163,14 @@ RegressionTree::deserialize(BinaryReader &in, std::size_t feature_count)
         split.improvement = in.f64();
         if (in.ok() && split.feature >= feature_count) {
             in.fail(cminer::util::format(
-                "split record %llu names feature %zu of %zu",
-                static_cast<unsigned long long>(i), split.feature,
-                feature_count));
+                "tree %zu split record %llu names feature %zu of %zu",
+                tree_index, static_cast<unsigned long long>(i),
+                split.feature, feature_count));
             break;
         }
         tree.splits_.push_back(split);
     }
-    if (!in.ok())
+    if (!in.ok() || node_count == 0)
         return RegressionTree();
     return tree;
 }
@@ -196,7 +241,7 @@ Gbrt::deserialize(BinaryReader &in)
     model.trees_.reserve(tree_count);
     for (std::uint64_t t = 0; t < tree_count && in.ok(); ++t) {
         model.trees_.push_back(RegressionTree::deserialize(
-            in, model.featureNames_.size()));
+            in, model.featureNames_.size(), t));
         if (in.ok() && !model.trees_.back().fitted())
             in.fail(cminer::util::format(
                 "model tree %llu has no nodes",

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "core/counterminer.h"
-#include "ml/dataset.h"
-#include "ml/dataset_view.h"
 #include "pmu/event.h"
 #include "store/database.h"
 #include "util/json_writer.h"
@@ -849,30 +847,28 @@ Server::processBatch(std::vector<PendingPredict> batch)
         span.number("rows", static_cast<double>(total_rows));
 
         try {
-            // One columnar block for the whole group: requests'
-            // row-major matrices transpose into shared columns, scored
-            // through the same DatasetView path as the predict CLI.
-            // predictAll is per-row independent and deterministic for
-            // any thread count, so slicing the block back per request
-            // returns bitwise the same values a lone request would get.
-            std::vector<std::vector<double>> columns(
-                event_count, std::vector<double>(total_rows));
-            std::size_t offset = 0;
-            for (const auto &pending : live) {
-                const auto &r = pending.request;
-                for (std::size_t row = 0; row < r.rowCount; ++row)
-                    for (std::size_t e = 0; e < event_count; ++e)
-                        columns[e][offset + row] =
-                            r.values[row * event_count + e];
-                offset += r.rowCount;
-            }
-            const ml::Dataset data = ml::Dataset::fromColumns(
-                artifact.events, std::move(columns),
-                std::vector<double>(total_rows, 0.0));
-            const std::vector<double> predictions =
-                artifact.model.predictAll(data);
+            // One walk for the whole group, fed in place: batch row i
+            // is a row of some request's row-major matrix, and the walk
+            // reads it there. predictAll is per-row independent and
+            // deterministic for any thread count, so slicing the block
+            // back per request returns bitwise the same values a lone
+            // request, or the predict CLI's columnar path, would get.
+            std::vector<const double *> rows;
+            rows.reserve(total_rows);
+            for (const auto &pending : live)
+                for (std::size_t row = 0; row < pending.request.rowCount;
+                     ++row)
+                    rows.push_back(pending.request.values.data() +
+                                   row * event_count);
+            std::vector<double> predictions(total_rows);
+            artifact.model.predictAll(
+                total_rows, event_count,
+                [&](std::size_t feature, std::size_t row) {
+                    return rows[row][feature];
+                },
+                predictions);
 
-            offset = 0;
+            std::size_t offset = 0;
             for (auto &pending : live) {
                 const auto &r = pending.request;
                 // Last gate: the work is done, but a blown budget

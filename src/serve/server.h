@@ -29,9 +29,9 @@
  *
  * Batching is greedy: the batcher never waits for a batch to fill.
  * Whenever it is free and predicts are queued, it takes the queued
- * rows for one artifact snapshot (up to maxBatchRows), coalesces them
- * into one columnar block (ml::Dataset::fromColumns) and scores it
- * through the zero-copy DatasetView path on the shared thread pool.
+ * rows for one artifact snapshot (up to maxBatchRows) and scores them
+ * in one Gbrt::predictAll walk on the shared thread pool, which reads
+ * each row where it sits, in its request's row-major matrix.
  * Requests that arrive while a batch runs form the next one, so
  * batches grow with load while an idle daemon answers at once.
  * Gbrt::predictAll is per-row independent and deterministic for any

@@ -189,9 +189,10 @@ Database::load(const std::string &path)
 util::StatusOr<Database>
 Database::tryLoad(const std::string &path)
 {
+    // Every Segment::open error already names the path.
     auto segment = Segment::open(path);
     if (!segment.ok())
-        return segment.status().withContext("store: load " + path);
+        return segment.status().withContext("store: load");
     // A saved database numbers its runs from 0; a segment cut from the
     // middle of a store directory does not stand alone.
     const RunId first = segment.value()->firstId();

@@ -97,9 +97,10 @@ constexpr std::size_t min_event_record_bytes = 16;
 StatusOr<std::shared_ptr<const Segment>>
 Segment::open(const std::string &path)
 {
+    // MappedFile's errors already name the path; each one below adds it.
     auto mapped = MappedFile::open(path);
     if (!mapped.ok())
-        return mapped.status().withContext("segment: open " + path);
+        return mapped.status().withContext("segment: open");
 
     // shared_ptr<Segment> built first so the mapping has its final
     // address before spans are derived from it (MappedFile moves keep

@@ -87,6 +87,7 @@ struct BufferedRun
 class MappedFile
 {
   public:
+    /** Map `path`; every error names the path. */
     static cminer::util::StatusOr<MappedFile>
     open(const std::string &path);
 
@@ -125,7 +126,8 @@ class Segment
     /**
      * Map and validate a segment file. Every count/length/offset field
      * is checked against the actual file size before use; a truncated
-     * or corrupt file yields a DataError naming the byte offset.
+     * or corrupt file yields a DataError naming the byte offset. Every
+     * error names the path, once.
      */
     static cminer::util::StatusOr<std::shared_ptr<const Segment>>
     open(const std::string &path);

@@ -426,6 +426,106 @@ TEST(ModelCheckpoint, SaveLoadRoundTripIsBitIdentical)
     std::filesystem::remove(path2);
 }
 
+/** One tree node record as a model file stores it. */
+struct NodeRecord
+{
+    bool leaf = true;
+    double value = 0.0;
+    std::uint64_t feature = 0;
+    double threshold = 0.0;
+    std::uint64_t left = 0;
+    std::uint64_t right = 0;
+};
+
+/**
+ * Checks that the subtree at record `at` is in preorder, its left child
+ * right after it and its right child right after the left subtree, and
+ * that its leaves carry zeros; returns the first record past it.
+ */
+std::size_t
+checkPreorder(const std::vector<NodeRecord> &tree, std::size_t at)
+{
+    const NodeRecord &node = tree.at(at);
+    if (node.leaf) {
+        EXPECT_EQ(node.feature, 0u);
+        EXPECT_EQ(node.threshold, 0.0);
+        EXPECT_EQ(node.left, 0u);
+        EXPECT_EQ(node.right, 0u);
+        return at + 1;
+    }
+    EXPECT_EQ(node.left, at + 1) << "node " << at;
+    const std::size_t left_end = checkPreorder(tree, node.left);
+    EXPECT_EQ(node.right, left_end) << "node " << at;
+    return checkPreorder(tree, node.right);
+}
+
+TEST(ModelCheckpoint, FittedModelBytesArePreorderRecords)
+{
+    const auto data = makeDataset(240, 11);
+    ml::GbrtParams params;
+    params.treeCount = 30;
+    params.subsample = 0.6;
+    params.tree.maxDepth = 5;
+    params.tree.minSamplesLeaf = 3;
+    params.tree.featureFraction = 1.0;
+    ml::Gbrt model(params);
+    util::Rng rng(29);
+    model.fit(data, rng);
+    const std::string path = tmpPath("model_preorder.ckpt");
+    ASSERT_TRUE(ml::saveModel(model, path).ok());
+    const std::string bytes = readBytes(path);
+
+    // FNV-1a of the file: these bytes predate the current in-memory
+    // tree layout, and no layout change may move them.
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(hash, 0x05ba809da2378264ull) << std::hex << hash;
+
+    auto opened = BinaryReader::open(path, ml::gbrt_artifact_kind);
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    BinaryReader in = std::move(opened).value();
+    ASSERT_EQ(in.beginSection(), ml::model_section_name);
+    EXPECT_EQ(in.u8(), 1u); // fitted
+    in.f64();               // baseline
+    in.f64();               // shrinkage
+    const std::uint64_t features = in.u64();
+    for (std::uint64_t f = 0; f < features; ++f)
+        in.str();
+    const std::uint64_t edge_lists = in.u64();
+    for (std::uint64_t f = 0; f < edge_lists; ++f)
+        in.f64Vec(in.u64());
+    const std::uint64_t trees = in.u64();
+    ASSERT_EQ(trees, model.treeCount());
+    std::size_t splits_total = 0;
+    for (std::uint64_t t = 0; t < trees && in.ok(); ++t) {
+        std::vector<NodeRecord> tree(in.u64());
+        for (NodeRecord &node : tree) {
+            node.leaf = in.u8() != 0;
+            node.value = in.f64();
+            node.feature = in.u64();
+            node.threshold = in.f64();
+            node.left = in.u64();
+            node.right = in.u64();
+        }
+        const std::uint64_t splits = in.u64();
+        for (std::uint64_t s = 0; s < splits; ++s) {
+            in.u64();
+            in.f64();
+        }
+        ASSERT_TRUE(in.ok()) << in.status().toString();
+        SCOPED_TRACE(t);
+        EXPECT_EQ(checkPreorder(tree, 0), tree.size());
+        splits_total += splits;
+    }
+    ASSERT_TRUE(in.ok()) << in.status().toString();
+    // Deep enough that left and right subtrees differ in size.
+    EXPECT_GT(splits_total, 8 * trees);
+    std::filesystem::remove(path);
+}
+
 TEST(ModelCheckpoint, RefusesUnfittedModel)
 {
     EXPECT_FALSE(ml::saveModel(ml::Gbrt(), tmpPath("none")).ok());

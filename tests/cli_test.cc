@@ -553,6 +553,9 @@ TEST(Cli, PathsThatAreNotRegularFilesAreCleanErrors)
     EXPECT_EQ(cli::run({"explore", dir}, output), 1);
     EXPECT_NE(output.find(message), std::string::npos) << output;
     EXPECT_EQ(output.find("allocation"), std::string::npos) << output;
+    // Each layer of the load names the path only if no layer below it
+    // has: the message names it once.
+    EXPECT_EQ(output.find(dir), output.rfind(dir)) << output;
 
     output.clear();
     EXPECT_EQ(cli::run({"predict", "db.cmdb", "--model", dir}, output), 1);

@@ -638,9 +638,9 @@ decodeRecords(const Gbrt &model)
     return out;
 }
 
-/** Load records through Gbrt::deserialize (no bin edges, no splits). */
-Gbrt
-encodeRecords(const RecordModel &records)
+/** Model bytes holding the records (no bin edges, no splits). */
+std::string
+recordBytes(const RecordModel &records)
 {
     auto out = cminer::util::BinaryWriter::raw();
     out.u8(1);
@@ -665,7 +665,14 @@ encodeRecords(const RecordModel &records)
         }
         out.u64(0);
     }
-    auto in = cminer::util::BinaryReader::raw(out.finish());
+    return out.finish();
+}
+
+/** Load records through Gbrt::deserialize. */
+Gbrt
+encodeRecords(const RecordModel &records)
+{
+    auto in = cminer::util::BinaryReader::raw(recordBytes(records));
     Gbrt model = Gbrt::deserialize(in);
     EXPECT_TRUE(in.ok()) << in.status().toString();
     return model;
@@ -736,6 +743,67 @@ leafDepths(const std::vector<RecordNode> &tree)
     return depths;
 }
 
+/**
+ * The records of `tree` renumbered in preorder (root, left subtree,
+ * right subtree) or, with `breadth_first`, level by level.
+ */
+std::vector<RecordNode>
+renumbered(const std::vector<RecordNode> &tree, bool breadth_first)
+{
+    std::vector<std::size_t> visit; // new position -> old index
+    std::vector<std::size_t> pending = {0};
+    while (!pending.empty()) {
+        std::size_t at;
+        if (breadth_first) {
+            at = pending.front();
+            pending.erase(pending.begin());
+        } else {
+            at = pending.back();
+            pending.pop_back();
+        }
+        visit.push_back(at);
+        if (tree[at].leaf)
+            continue;
+        if (breadth_first) {
+            pending.push_back(tree[at].left);
+            pending.push_back(tree[at].right);
+        } else {
+            pending.push_back(tree[at].right);
+            pending.push_back(tree[at].left);
+        }
+    }
+    std::vector<std::size_t> position(tree.size());
+    for (std::size_t i = 0; i < visit.size(); ++i)
+        position[visit[i]] = i;
+    std::vector<RecordNode> out;
+    for (const std::size_t at : visit) {
+        RecordNode node = tree[at];
+        if (!node.leaf) {
+            node.left = position[node.left];
+            node.right = position[node.right];
+        }
+        out.push_back(node);
+    }
+    return out;
+}
+
+/** Field-by-field, bit-for-bit equality of two record trees. */
+void
+expectSameRecords(const std::vector<RecordNode> &a,
+                  const std::vector<RecordNode> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].leaf, b[i].leaf) << "node " << i;
+        EXPECT_EQ(bitsOf(a[i].value), bitsOf(b[i].value)) << "node " << i;
+        EXPECT_EQ(a[i].feature, b[i].feature) << "node " << i;
+        EXPECT_EQ(bitsOf(a[i].threshold), bitsOf(b[i].threshold))
+            << "node " << i;
+        EXPECT_EQ(a[i].left, b[i].left) << "node " << i;
+        EXPECT_EQ(a[i].right, b[i].right) << "node " << i;
+    }
+}
+
 TEST(TreeWalk, MatchesRecordWalkBitForBit)
 {
     const std::vector<std::string> names = {"f0", "f1", "f2", "f3"};
@@ -758,17 +826,50 @@ TEST(TreeWalk, MatchesRecordWalkBitForBit)
     fitted.fit(train, rng);
     ASSERT_GT(fitted.treeCount(), 10u);
 
-    // The fitted trees plus one lone leaf, loaded back as one model.
+    // Trees ten levels deep, the depth bench/ablation_models.cc fits.
+    params.treeCount = 12;
+    params.tree.maxDepth = 10;
+    params.tree.minSamplesLeaf = 2;
+    Gbrt deep(params);
+    Rng deep_rng(95);
+    deep.fit(train, deep_rng);
+
+    // The fitted trees of both, one lone leaf, and one deep tree whose
+    // records are breadth-first instead of preorder, loaded back as one
+    // model.
     RecordModel records = decodeRecords(fitted);
+    const RecordModel deep_records = decodeRecords(deep);
+    records.trees.insert(records.trees.end(), deep_records.trees.begin(),
+                         deep_records.trees.end());
     std::set<std::size_t> depths;
     for (const auto &tree : records.trees) {
         const auto tree_depths = leafDepths(tree);
         depths.insert(tree_depths.begin(), tree_depths.end());
     }
     ASSERT_GE(depths.size(), 3u) << "leaves at several depths";
+    ASSERT_EQ(*depths.rbegin(), 10u) << "a tree ten levels deep";
     records.trees.push_back({RecordNode{.value = -0.75}});
+    const std::vector<RecordNode> breadth_first =
+        renumbered(deep_records.trees.front(), true);
+    bool preorder = true;
+    for (std::size_t i = 0; i < breadth_first.size(); ++i)
+        preorder = preorder &&
+                   (breadth_first[i].leaf || breadth_first[i].left == i + 1);
+    ASSERT_FALSE(preorder);
+    records.trees.push_back(breadth_first);
     const Gbrt model = encodeRecords(records);
     ASSERT_EQ(model.treeCount(), records.trees.size());
+
+    // Saving the loaded model writes every tree in preorder, so the
+    // fitted trees come back as they were and the breadth-first one
+    // renumbered.
+    const RecordModel saved = decodeRecords(model);
+    ASSERT_EQ(saved.trees.size(), records.trees.size());
+    for (std::size_t t = 0; t < saved.trees.size(); ++t) {
+        SCOPED_TRACE(t);
+        expectSameRecords(saved.trees[t], renumbered(records.trees[t], false));
+    }
+    expectSameRecords(saved.trees.back(), deep_records.trees.front());
 
     // Thresholds the model splits on, so rows land exactly on them.
     std::vector<std::pair<std::size_t, double>> cuts;
@@ -825,48 +926,77 @@ TEST(TreeWalk, MatchesRecordWalkBitForBit)
     expectWalkMatchesRecords(model, records, view);
 }
 
-TEST(TreeWalk, SharedForwardChildTakesTheLongerPath)
+/**
+ * Load a two-tree model whose second tree is `tree` and return the
+ * reader's status: grow() writes only trees, so these files are
+ * hand-made.
+ */
+cminer::util::Status
+loadWithSecondTree(std::vector<RecordNode> tree)
 {
-    // Node 6 has two parents: node 2 at depth 2 and node 5 at depth 1.
-    // The path 0 -> 1 -> 2 -> 6 -> {8, 9} is four steps, and node 5,
-    // the later parent, would put node 6 one level higher.
-    auto split = [](std::uint64_t f, std::uint64_t left,
-                    std::uint64_t right, double value) {
-        return RecordNode{.leaf = false,
-                          .value = value,
-                          .feature = f,
-                          .threshold = 0.0,
-                          .left = left,
-                          .right = right};
-    };
-    auto leaf = [](double value) { return RecordNode{.value = value}; };
     RecordModel records;
     records.baseline = 0.5;
     records.shrinkage = 1.0;
     records.features = {"f0", "f1", "f2", "f3"};
-    records.trees.push_back({split(0, 1, 5, 100.0),  // 0
-                             split(1, 2, 3, 101.0),  // 1
-                             split(2, 4, 6, 102.0),  // 2
-                             leaf(3.0),              // 3
-                             leaf(4.0),              // 4
-                             split(1, 6, 7, 105.0),  // 5
-                             split(3, 8, 9, 106.0),  // 6
-                             leaf(7.0),              // 7
-                             leaf(8.0),              // 8
-                             leaf(9.0)});            // 9
-    const Gbrt model = encodeRecords(records);
+    records.trees.push_back({RecordNode{.value = 1.0}});
+    records.trees.push_back(std::move(tree));
+    auto in = cminer::util::BinaryReader::raw(recordBytes(records));
+    const Gbrt model = Gbrt::deserialize(in);
+    EXPECT_FALSE(model.fitted());
+    return in.status();
+}
 
-    Dataset data(records.features);
-    for (int r = 0; r < 40; ++r) {
-        std::vector<double> row(4);
-        for (int f = 0; f < 4; ++f)
-            row[f] = ((r >> f) & 1) ? 1.0 : -1.0;
-        data.addRow(row, 0.0);
-    }
-    expectWalkMatchesRecords(model, records, data);
-    // Every row ends on a leaf: no prediction is an internal value.
-    for (const double y : model.predictAll(data))
-        EXPECT_LT(y, 10.0);
+RecordNode
+splitRecord(std::uint64_t feature, std::uint64_t left, std::uint64_t right,
+            double value)
+{
+    return RecordNode{.leaf = false,
+                      .value = value,
+                      .feature = feature,
+                      .threshold = 0.0,
+                      .left = left,
+                      .right = right};
+}
+
+RecordNode
+leafRecord(double value)
+{
+    return RecordNode{.value = value};
+}
+
+TEST(TreeWalk, NodeWithTwoParentsIsRejected)
+{
+    // Node 6 is a child of node 2 (depth 2) and of node 5 (depth 1).
+    // Every child points forward, so only the parent count tells this
+    // graph from a tree.
+    const auto status = loadWithSecondTree({splitRecord(0, 1, 5, 100.0),
+                                            splitRecord(1, 2, 3, 101.0),
+                                            splitRecord(2, 4, 6, 102.0),
+                                            leafRecord(3.0),
+                                            leafRecord(4.0),
+                                            splitRecord(1, 6, 7, 105.0),
+                                            splitRecord(3, 8, 9, 106.0),
+                                            leafRecord(7.0),
+                                            leafRecord(8.0),
+                                            leafRecord(9.0)});
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), cminer::util::StatusCode::DataError);
+    EXPECT_NE(status.message().find("tree 1 node 6 has two parents"),
+              std::string::npos)
+        << status.toString();
+}
+
+TEST(TreeWalk, NodeNoParentReachesIsRejected)
+{
+    // Node 3 splits forward, but no node names it as a child.
+    const auto status = loadWithSecondTree(
+        {splitRecord(0, 1, 2, 100.0), leafRecord(1.0), leafRecord(2.0),
+         splitRecord(1, 4, 5, 103.0), leafRecord(4.0), leafRecord(5.0)});
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), cminer::util::StatusCode::DataError);
+    EXPECT_NE(status.message().find("tree 1 node 3 has no parent"),
+              std::string::npos)
+        << status.toString();
 }
 
 TEST(TreeWalk, NarrowerRowsAreFatal)

@@ -43,6 +43,16 @@ struct DamageCase
     bool longTail;
 };
 
+// Printed by value: gtest would otherwise print the raw bytes, struct
+// padding included, into each case's listed name, which then changes
+// from one build to the next.
+void
+PrintTo(const DamageCase &c, std::ostream *os)
+{
+    *os << "missing " << c.missingRate << " outlier " << c.outlierRate
+        << (c.longTail ? " long tail" : "");
+}
+
 class CleanerRepairProperty
     : public ::testing::TestWithParam<DamageCase>
 {};
