@@ -19,6 +19,7 @@
 
 #include "common.h"
 #include "ml/dataset_view.h"
+#include "ml/decision_tree.h"
 #include "core/checkpoint.h"
 #include "mining/anomaly.h"
 #include "mining/distance.h"
@@ -27,7 +28,6 @@
 #include "ml/model_io.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "simd/simd.h"
 #include "stats/anderson_darling.h"
 #include "store/database.h"
 #include "ts/dtw.h"
@@ -558,99 +558,26 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
-// --- SIMD kernel layer: forced-scalar vs best-available twins -------------
-// Each pair runs the identical workload with the dispatch level forced
-// to scalar (range(0) == 0) and at the best level the machine supports
-// (range(0) == 1). The speedup between the two is the SIMD layer's
-// whole contribution; the differential harness (test_simd_kernels)
-// guarantees the outputs are interchangeable.
+// --- quantile binning -----------------------------------------------------
+// FeatureBinner bins every event once per GBRT fit. Its lowerBoundBins
+// sweep is the one kernel with a vector body outside DTW's lockstep
+// block (DESIGN.md §13): 229 events (the catalog) x 1,024 rows at 32
+// bins, so every column takes the SSE2 sweep.
 
-/** Force the dispatch level from the benchmark arg; label the run. */
-simd::Level
-simdLevelFromArg(benchmark::State &state)
-{
-    const simd::Level level = state.range(0) == 0
-        ? simd::Level::Scalar : simd::detectedLevel();
-    simd::setLevel(level);
-    state.SetLabel(simd::levelName(level));
-    return level;
-}
-
-/**
- * KNN's per-neighbor squared Euclidean distance over a feature row.
- * The training block is sized to stay cache-resident (226 features x
- * 64 neighbors ~ 113 KiB) so the twin measures the kernel, not DRAM
- * bandwidth.
- */
 void
-BM_KnnDistance(benchmark::State &state)
+BM_FeatureBinner(benchmark::State &state)
 {
-    simdLevelFromArg(state);
-    constexpr std::size_t kDim = 226;
-    constexpr std::size_t kNeighbors = 64;
-    util::Rng rng(32);
-    std::vector<double> query(kDim);
-    for (auto &v : query)
-        v = rng.gaussian();
-    std::vector<double> train(kDim * kNeighbors);
-    for (auto &v : train)
-        v = rng.gaussian();
+    constexpr std::size_t kFeatures = 229;
+    constexpr int kRows = 1024;
+    const auto data = gbrtBenchData(kFeatures, kRows);
     for (auto _ : state) {
-        double total = 0.0;
-        for (std::size_t r = 0; r < kNeighbors; ++r) {
-            total += simd::squaredDistance(
-                query, std::span<const double>(train.data() + r * kDim,
-                                               kDim));
-        }
-        benchmark::DoNotOptimize(total);
+        const ml::FeatureBinner binner(data, 32);
+        benchmark::DoNotOptimize(binner.binColumn(0).data());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kNeighbors * kDim));
-    simd::setLevel(simd::detectedLevel());
+                            static_cast<std::int64_t>(kFeatures * kRows));
 }
-BENCHMARK(BM_KnnDistance)->Arg(0)->Arg(1);
-
-/** The LB_Keogh envelope bound (envelope precomputed, as in the scan). */
-void
-BM_LbKeogh(benchmark::State &state)
-{
-    simdLevelFromArg(state);
-    constexpr std::size_t kLength = 2048;
-    const auto query = randomSeries(kLength, 33);
-    const auto candidate = randomSeries(kLength, 34);
-    const auto envelope = ts::computeEnvelope(query, kLength / 10 + 1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ts::lbKeogh(envelope, candidate));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kLength));
-    simd::setLevel(simd::detectedLevel());
-}
-BENCHMARK(BM_LbKeogh)->Arg(0)->Arg(1);
-
-/** The cleaner/histogram equi-width bin-assignment pass. */
-void
-BM_CleanerBinning(benchmark::State &state)
-{
-    simdLevelFromArg(state);
-    constexpr std::size_t kValues = 4096;
-    const auto values = randomSeries(kValues, 35);
-    double low = 0.0;
-    double high = 0.0;
-    std::size_t finite = 0;
-    simd::minMaxFinite(values, low, high, finite);
-    constexpr std::size_t kBins = 64;
-    const double width =
-        (high - low) / static_cast<double>(kBins);
-    std::vector<std::uint32_t> bins(kValues);
-    for (auto _ : state) {
-        simd::equiWidthBins(values, low, high, width, kBins, bins);
-        benchmark::DoNotOptimize(bins.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kValues));
-    simd::setLevel(simd::detectedLevel());
-}
-BENCHMARK(BM_CleanerBinning)->Arg(0)->Arg(1);
+BENCHMARK(BM_FeatureBinner)->Unit(benchmark::kMillisecond);
 
 // --- observability overhead ----------------------------------------------
 // The disabled variants are the zero-overhead contract: with no tracer
@@ -1065,6 +992,8 @@ BM_DtwMatrix(benchmark::State &state)
     const auto signatures = syntheticSignatures(count, 128, 0x5e7);
     const std::vector<std::vector<double>> medoids(
         signatures.begin(), signatures.begin() + 8);
+    const std::vector<std::span<const double>> medoid_views(
+        medoids.begin(), medoids.end());
 
     std::size_t dtw_evaluations = 0;
     std::size_t assignments = 0;
@@ -1072,8 +1001,8 @@ BM_DtwMatrix(benchmark::State &state)
         double acc = 0.0;
         for (const auto &signature : signatures) {
             if (pruned) {
-                const auto nearest =
-                    mining::nearestMedoid(signature, medoids, options);
+                const auto nearest = mining::nearestMedoid(
+                    signature, medoid_views, options);
                 acc += nearest.distance;
                 dtw_evaluations += nearest.dtwEvaluations;
             } else {

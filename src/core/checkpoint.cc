@@ -68,8 +68,9 @@ loadMapmArtifact(const std::string &path)
     util::Span span("checkpoint.load");
     span.label("path", path);
     auto opened = BinaryReader::open(path, mapm_artifact_kind);
+    // Every open error already names the path.
     if (!opened.ok())
-        return opened.status().withContext("load mapm " + path);
+        return opened.status().withContext("load mapm");
     BinaryReader in = std::move(opened).value();
     if (in.artifactVersion() != mapm_artifact_version)
         return in

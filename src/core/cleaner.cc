@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ml/knn.h"
-#include "simd/simd.h"
 #include "stats/anderson_darling.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
@@ -113,8 +112,14 @@ DataCleaner::fillMissing(std::span<double> values,
     std::size_t non_finite = 0;
     double max_value = 0.0;
     double min_value = 0.0;
-    std::size_t finite_count = 0;
-    simd::minMaxFinite(values, min_value, max_value, finite_count);
+    bool any_finite = false;
+    for (const double v : values) {
+        if (!std::isfinite(v))
+            continue;
+        min_value = any_finite ? std::min(min_value, v) : v;
+        max_value = any_finite ? std::max(max_value, v) : v;
+        any_finite = true;
+    }
     max_value = std::max(max_value, 0.0);
 
     // The paper's true-zero rule: when the series minimum is zero and

@@ -133,8 +133,9 @@ loadClusterArtifact(const std::string &path)
     util::Span span("mining.cluster_load");
     span.label("path", path);
     auto opened = BinaryReader::open(path, cluster_artifact_kind);
+    // Every open error already names the path.
     if (!opened.ok())
-        return opened.status().withContext("load cluster " + path);
+        return opened.status().withContext("load cluster");
     BinaryReader in = std::move(opened).value();
     if (in.artifactVersion() != cluster_artifact_version)
         return in
@@ -207,6 +208,9 @@ AnomalyScorer::AnomalyScorer(
 {
     CM_ASSERT(model_ != nullptr);
     CM_ASSERT(model_->model.fitted());
+    medoids_.reserve(clusters_.families.size());
+    for (const auto &family : clusters_.families)
+        medoids_.emplace_back(family.signature);
 }
 
 double
@@ -233,11 +237,7 @@ AnomalyScorer::verdict(std::span<const double> predictions,
     result.residualFlag =
         result.residualZ > clusters_.residualZThreshold;
 
-    if (!clusters_.families.empty()) {
-        std::vector<std::vector<double>> medoids;
-        medoids.reserve(clusters_.families.size());
-        for (const auto &family : clusters_.families)
-            medoids.push_back(family.signature);
+    if (!medoids_.empty()) {
         const std::vector<double> signature =
             makeSignature(measured, clusters_.signature);
         // Finite samples can still overflow the z-normalization.
@@ -245,7 +245,7 @@ AnomalyScorer::verdict(std::span<const double> predictions,
             return Status::dataError(
                 "score: the measured IPC series overflows its signature");
         const NearestMedoid nearest =
-            nearestMedoid(signature, medoids, clusters_.signature);
+            nearestMedoid(signature, medoids_, clusters_.signature);
         result.signatureDistance = nearest.distance;
         result.familyIndex = nearest.index;
         result.dtwEvaluations = nearest.dtwEvaluations;
@@ -419,10 +419,10 @@ AnomalyScorer::calibrate(
     if (Status valid = validateArtifact(clusters); !valid.ok())
         return valid.withContext("calibrate");
 
-    std::vector<std::vector<double>> medoids;
+    std::vector<std::span<const double>> medoids;
     medoids.reserve(clusters.families.size());
     for (const auto &family : clusters.families)
-        medoids.push_back(family.signature);
+        medoids.emplace_back(family.signature);
 
     std::vector<double> residuals;
     residuals.reserve(ids.size());

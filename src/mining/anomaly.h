@@ -142,6 +142,13 @@ class AnomalyScorer
     AnomalyScorer(std::shared_ptr<const cminer::core::MapmArtifact> model,
                   ClusterArtifact clusters);
 
+    // medoids_ views the families' signatures. A move keeps the views
+    // valid (each vector's buffer moves with it); a copy would not.
+    AnomalyScorer(const AnomalyScorer &) = delete;
+    AnomalyScorer &operator=(const AnomalyScorer &) = delete;
+    AnomalyScorer(AnomalyScorer &&) = default;
+    AnomalyScorer &operator=(AnomalyScorer &&) = default;
+
     const ClusterArtifact &clusters() const { return clusters_; }
     const cminer::core::MapmArtifact &model() const { return *model_; }
 
@@ -202,6 +209,8 @@ class AnomalyScorer
 
     std::shared_ptr<const cminer::core::MapmArtifact> model_;
     ClusterArtifact clusters_;
+    /** clusters_.families' signatures, in family order. */
+    std::vector<std::span<const double>> medoids_;
 };
 
 } // namespace cminer::mining

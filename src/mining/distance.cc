@@ -101,7 +101,7 @@ dtwDistanceMatrix(const std::vector<std::vector<double>> &signatures,
 
 NearestMedoid
 nearestMedoid(std::span<const double> signature,
-              const std::vector<std::vector<double>> &medoids,
+              std::span<const std::span<const double>> medoids,
               const SignatureOptions &options)
 {
     CM_ASSERT(!medoids.empty());

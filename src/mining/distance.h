@@ -97,11 +97,11 @@ struct NearestMedoid
  * is admissible: the returned medoid is identical to brute force.
  *
  * @param signature query signature (options.length samples)
- * @param medoids candidate medoid signatures (same length)
+ * @param medoids views of the candidate medoid signatures (same length)
  */
 NearestMedoid
 nearestMedoid(std::span<const double> signature,
-              const std::vector<std::vector<double>> &medoids,
+              std::span<const std::span<const double>> medoids,
               const SignatureOptions &options);
 
 } // namespace cminer::mining

@@ -1,78 +1,13 @@
 #include "ml/knn.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
-#include "simd/simd.h"
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace cminer::ml {
-
-KnnRegressor::KnnRegressor(std::size_t k)
-    : k_(k)
-{
-    CM_ASSERT(k >= 1);
-}
-
-void
-KnnRegressor::fit(const DatasetView &data)
-{
-    CM_ASSERT(data.rowCount() >= 1);
-    dim_ = data.featureCount();
-    trainX_.resize(data.rowCount() * dim_);
-    for (std::size_t r = 0; r < data.rowCount(); ++r)
-        data.gatherRow(r, std::span<double>(trainX_).subspan(r * dim_,
-                                                             dim_));
-    trainY_ = data.targets();
-}
-
-double
-KnnRegressor::predict(std::span<const double> features) const
-{
-    CM_ASSERT(!trainY_.empty());
-    CM_ASSERT(features.size() == dim_);
-
-    // Equidistant neighbors tie-break by training-row index. Sorting
-    // (distance, target) pairs instead would order exact ties by target
-    // value and bias the k-subset toward small targets.
-    std::vector<std::pair<double, std::size_t>> dist_row;
-    dist_row.reserve(trainY_.size());
-    for (std::size_t r = 0; r < trainY_.size(); ++r) {
-        const double d2 = simd::squaredDistance(
-            features, std::span<const double>(
-                          trainX_.data() + r * dim_, dim_));
-        dist_row.emplace_back(d2, r);
-    }
-    const std::size_t k = std::min(k_, dist_row.size());
-    std::partial_sort(dist_row.begin(),
-                      dist_row.begin() + static_cast<long>(k),
-                      dist_row.end());
-    double total = 0.0;
-    for (std::size_t i = 0; i < k; ++i)
-        total += trainY_[dist_row[i].second];
-    return total / static_cast<double>(k);
-}
-
-std::vector<double>
-KnnRegressor::predictAll(const DatasetView &data) const
-{
-    std::vector<double> out(data.rowCount(), 0.0);
-    // Each query is an independent read-only scan of the training set;
-    // one gather buffer is reused per chunk.
-    cminer::util::parallelFor(
-        0, data.rowCount(), 16,
-        [&](std::size_t lo, std::size_t hi) {
-            std::vector<double> row(data.featureCount());
-            for (std::size_t r = lo; r < hi; ++r) {
-                data.gatherRow(r, row);
-                out[r] = predict(row);
-            }
-        });
-    return out;
-}
 
 std::size_t
 knnImputeSeries(std::span<double> values,

@@ -1,10 +1,9 @@
 /**
  * @file
- * K-nearest-neighbor regression, in two flavors:
- *  - a general brute-force KNN regressor on feature vectors;
- *  - the 1-D temporal imputer the cleaner uses: a missing value in a
- *    time series is replaced by the average of the k nearest *observed*
- *    neighbors by time index (paper Section III-B2, k = 5).
+ * K-nearest-neighbor imputation, the cleaner's temporal imputer: a
+ * missing value in a time series is replaced by the average of the k
+ * nearest *observed* neighbors by time index (paper Section III-B2,
+ * k = 5).
  */
 
 #ifndef CMINER_ML_KNN_H
@@ -14,40 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "ml/dataset_view.h"
-
 namespace cminer::ml {
-
-/** Brute-force KNN regressor with Euclidean distance. */
-class KnnRegressor
-{
-  public:
-    /** @param k neighborhood size (>= 1) */
-    explicit KnnRegressor(std::size_t k = 5);
-
-    /** Store the training data (lazy learner; gathers one flat copy). */
-    void fit(const DatasetView &data);
-
-    /** Mean target of the k nearest training rows. */
-    double predict(std::span<const double> features) const;
-
-    /** predict() convenience for braced literals. */
-    double predict(std::initializer_list<double> features) const
-    {
-        return predict(
-            std::span<const double>(features.begin(), features.size()));
-    }
-
-    /** Predictions for every visible row of a dataset view. */
-    std::vector<double> predictAll(const DatasetView &data) const;
-
-  private:
-    std::size_t k_;
-    /** Training rows, row-major in one contiguous block. */
-    std::vector<double> trainX_;
-    std::vector<double> trainY_;
-    std::size_t dim_ = 0;
-};
 
 /**
  * Impute missing entries of a series by temporal KNN.

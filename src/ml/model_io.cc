@@ -275,8 +275,9 @@ StatusOr<Gbrt>
 loadModel(const std::string &path)
 {
     auto opened = BinaryReader::open(path, gbrt_artifact_kind);
+    // Every open error already names the path.
     if (!opened.ok())
-        return opened.status().withContext("load model " + path);
+        return opened.status().withContext("load model");
     BinaryReader in = std::move(opened).value();
     if (in.artifactVersion() != gbrt_artifact_version)
         return in

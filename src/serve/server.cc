@@ -126,8 +126,9 @@ util::Status
 Server::loadModel(const std::string &name, const std::string &path)
 {
     auto loaded = core::loadMapmArtifact(path);
+    // The artifact loaders name the path in every error.
     if (!loaded.ok())
-        return loaded.status().withContext("serve: load model " + path);
+        return loaded.status().withContext("serve: load model");
     auto artifact = std::move(loaded).value();
     registerModel(name.empty() ? artifact.benchmark : name,
                   std::move(artifact));
@@ -163,13 +164,12 @@ Server::loadScorer(const std::string &name,
                    const std::string &cluster_path)
 {
     auto loaded_model = core::loadMapmArtifact(model_path);
+    // The artifact loaders name the path in every error.
     if (!loaded_model.ok())
-        return loaded_model.status().withContext(
-            "serve: load scorer model " + model_path);
+        return loaded_model.status().withContext("serve: load scorer");
     auto loaded_clusters = mining::loadClusterArtifact(cluster_path);
     if (!loaded_clusters.ok())
-        return loaded_clusters.status().withContext(
-            "serve: load scorer clusters " + cluster_path);
+        return loaded_clusters.status().withContext("serve: load scorer");
     auto clusters = std::move(loaded_clusters).value();
     if (clusters.residualZThreshold <= 0.0)
         return util::Status::dataError(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simd/simd.h"
 #include "util/error.h"
 
 namespace cminer::stats {
@@ -166,7 +165,12 @@ fractionWithin(std::span<const double> values, double threshold)
 {
     if (values.empty())
         return 1.0;
-    const std::size_t inside = simd::countLessEqual(values, threshold);
+    // NaN compares false, so a NaN value or threshold counts as outside.
+    std::size_t inside = 0;
+    for (const double v : values) {
+        if (v <= threshold)
+            ++inside;
+    }
     return static_cast<double>(inside) / static_cast<double>(values.size());
 }
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "simd/simd.h"
 #include "stats/descriptive.h"
 #include "util/error.h"
 
@@ -43,15 +41,11 @@ Histogram::build(std::span<const double> values, std::size_t bin_count)
     width_ = (high_ - low_) / static_cast<double>(bin_count);
     counts_.assign(bin_count, 0);
 
-    // Vectorized bin assignment; equiWidthBins reproduces binIndex
-    // exactly, so counts and buckets match the per-value loop.
-    std::vector<std::uint32_t> bins(values.size());
-    simd::equiWidthBins(values, low_, high_, width_, bin_count, bins);
     std::vector<std::vector<double>> buckets(bin_count);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const std::size_t bin = bins[i];
+    for (const double v : values) {
+        const std::size_t bin = binIndex(v);
         ++counts_[bin];
-        buckets[bin].push_back(values[i]);
+        buckets[bin].push_back(v);
     }
 
     medians_.assign(bin_count, std::numeric_limits<double>::quiet_NaN());

@@ -5,13 +5,53 @@
 #include <limits>
 #include <string>
 
-#include "simd/simd.h"
 #include "stats/descriptive.h"
 #include "ts/dtw.h"
 #include "ts/resample.h"
 #include "util/error.h"
 
 namespace cminer::ts {
+
+namespace {
+
+/** One LB_Keogh deviation term: how far c lies outside [lower, upper]. */
+double
+lbKeoghTerm(double lower, double upper, double c)
+{
+    if (c > upper)
+        return c - upper;
+    if (c < lower)
+        return lower - c;
+    return 0.0;
+}
+
+/**
+ * Sum of the deviation terms under a fixed four-lane block schedule:
+ * lane l accumulates the terms 4i + l in index order, the lanes combine
+ * as (l0 + l1) + (l2 + l3), then the n % 4 tail terms are added in
+ * order. The schedule's rounding is part of the bound's bits, and the
+ * bound orders nearestMedoid's DTW visits.
+ */
+double
+lbKeoghSum(std::span<const double> lower, std::span<const double> upper,
+           std::span<const double> candidate)
+{
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    const std::size_t n = candidate.size();
+    const std::size_t main = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < main; i += 4) {
+        a0 += lbKeoghTerm(lower[i], upper[i], candidate[i]);
+        a1 += lbKeoghTerm(lower[i + 1], upper[i + 1], candidate[i + 1]);
+        a2 += lbKeoghTerm(lower[i + 2], upper[i + 2], candidate[i + 2]);
+        a3 += lbKeoghTerm(lower[i + 3], upper[i + 3], candidate[i + 3]);
+    }
+    double total = (a0 + a1) + (a2 + a3);
+    for (std::size_t i = main; i < n; ++i)
+        total += lbKeoghTerm(lower[i], upper[i], candidate[i]);
+    return total;
+}
+
+} // namespace
 
 Envelope
 computeEnvelope(std::span<const double> values, std::size_t radius)
@@ -24,8 +64,14 @@ computeEnvelope(std::span<const double> values, std::size_t radius)
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t lo = i > radius ? i - radius : 0;
         const std::size_t hi = std::min(n - 1, i + radius);
-        simd::windowMinMax(values.subspan(lo, hi - lo + 1), env.lower[i],
-                           env.upper[i]);
+        double mn = values[lo];
+        double mx = values[lo];
+        for (std::size_t j = lo + 1; j <= hi; ++j) {
+            mn = std::min(mn, values[j]);
+            mx = std::max(mx, values[j]);
+        }
+        env.lower[i] = mn;
+        env.upper[i] = mx;
     }
     return env;
 }
@@ -35,7 +81,7 @@ lbKeogh(const Envelope &envelope, std::span<const double> candidate)
 {
     CM_ASSERT(envelope.upper.size() == candidate.size());
     CM_ASSERT(envelope.lower.size() == candidate.size());
-    return simd::lbKeoghSum(envelope.lower, envelope.upper, candidate);
+    return lbKeoghSum(envelope.lower, envelope.upper, candidate);
 }
 
 util::StatusOr<double>
@@ -59,7 +105,7 @@ lbKeoghChecked(const Envelope &envelope, std::span<const double> candidate)
                 std::to_string(envelope.upper[i]) + ")");
         }
     }
-    return simd::lbKeoghSum(envelope.lower, envelope.upper, candidate);
+    return lbKeoghSum(envelope.lower, envelope.upper, candidate);
 }
 
 NearestResult

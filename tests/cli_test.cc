@@ -561,6 +561,7 @@ TEST(Cli, PathsThatAreNotRegularFilesAreCleanErrors)
     EXPECT_EQ(cli::run({"predict", "db.cmdb", "--model", dir}, output), 1);
     EXPECT_NE(output.find(message), std::string::npos) << output;
     EXPECT_EQ(output.find("allocation"), std::string::npos) << output;
+    EXPECT_EQ(output.find(dir), output.rfind(dir)) << output;
     std::filesystem::remove_all(dir);
 }
 

@@ -205,24 +205,6 @@ TEST(Determinism, KnnImputerBitIdenticalAcrossThreadCounts)
                         "imputed series");
 }
 
-std::vector<double>
-runKnnPredict(std::size_t threads)
-{
-    ThreadCountGuard guard(threads);
-    const auto data = syntheticDataset(4, 64, 77);
-    ml::KnnRegressor knn(5);
-    knn.fit(data);
-    return knn.predictAll(data);
-}
-
-TEST(Determinism, KnnRegressorBitIdenticalAcrossThreadCounts)
-{
-    const auto baseline = runKnnPredict(1);
-    for (std::size_t threads : kThreadCounts)
-        expectIdentical(baseline, runKnnPredict(threads), threads,
-                        "KNN prediction");
-}
-
 // --- cleaner batch --------------------------------------------------------
 
 std::vector<double>

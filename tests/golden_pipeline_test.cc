@@ -27,7 +27,6 @@
 
 #include "core/counterminer.h"
 #include "pmu/event.h"
-#include "simd/simd.h"
 #include "store/database.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
@@ -50,13 +49,6 @@ struct ThreadCountGuard
         Parallelism::setThreadCount(count);
     }
     ~ThreadCountGuard() { Parallelism::setThreadCount(0); }
-};
-
-/** Restores the prior SIMD dispatch level when a test ends. */
-struct SimdLevelGuard
-{
-    simd::Level saved = simd::activeLevel();
-    ~SimdLevelGuard() { simd::setLevel(saved); }
 };
 
 /** Exact bit pattern of a double as a C99 hexfloat string. */
@@ -212,27 +204,6 @@ TEST(GoldenPipeline, MatchesCheckedInGoldenAtAllThreadCounts)
     for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
         EXPECT_EQ(runPipelineJson(threads), expected)
             << "pipeline output diverged at " << threads << " threads";
-    }
-}
-
-// Every kernel the pipeline dispatches through the SIMD layer is in the
-// sequential-exact tier (DESIGN.md §13), so forcing any dispatch level
-// must reproduce the same bytes end-to-end — scalar fallback included.
-TEST(GoldenPipeline, ByteIdenticalAcrossSimdDispatchLevels)
-{
-    if (std::getenv("CMINER_UPDATE_GOLDEN") != nullptr)
-        GTEST_SKIP() << "golden regeneration handled by the thread test";
-
-    SimdLevelGuard guard;
-    simd::setLevel(simd::Level::Scalar);
-    const std::string reference = runPipelineJson(1);
-
-    for (simd::Level level : simd::availableLevels()) {
-        simd::setLevel(level);
-        ASSERT_EQ(simd::activeLevel(), level);
-        EXPECT_EQ(runPipelineJson(1), reference)
-            << "pipeline output diverged at dispatch level "
-            << simd::levelName(level);
     }
 }
 

@@ -203,6 +203,8 @@ TEST(MiningDistance, NearestMedoidMatchesBruteForce)
     auto queries = plantedSignatures(28, 56, 4, 0xabcd);
     const std::vector<std::vector<double>> medoids(queries.begin(),
                                                    queries.begin() + 8);
+    const std::vector<std::span<const double>> medoid_views(
+        medoids.begin(), medoids.end());
     queries.erase(queries.begin(), queries.begin() + 8);
     Rng rng(0x6b0d);
     for (int walk = 0; walk < 40; ++walk) {
@@ -221,8 +223,8 @@ TEST(MiningDistance, NearestMedoidMatchesBruteForce)
         options.length = 56;
         options.bandFraction = band;
         for (std::size_t q = 0; q < queries.size(); ++q) {
-            const auto pruned =
-                mining::nearestMedoid(queries[q], medoids, options);
+            const auto pruned = mining::nearestMedoid(
+                queries[q], medoid_views, options);
             // Brute force with the same lexicographic (distance, index)
             // preference the pruned search guarantees.
             std::size_t best = 0;

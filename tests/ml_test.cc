@@ -183,44 +183,6 @@ TEST(SolveLinearSystem, SingularSystemRejected)
 
 // --- KNN -----------------------------------------------------------------
 
-TEST(Knn, PredictsLocalMean)
-{
-    Dataset data({"x"});
-    data.addRow({0.0}, 0.0);
-    data.addRow({1.0}, 10.0);
-    data.addRow({2.0}, 20.0);
-    data.addRow({10.0}, 1000.0);
-    KnnRegressor knn(2);
-    knn.fit(data);
-    // Nearest two to 1.2 are x=1 and x=2.
-    EXPECT_DOUBLE_EQ(knn.predict({1.2}), 15.0);
-}
-
-TEST(Knn, KLargerThanTrainingSetUsesAll)
-{
-    Dataset data({"x"});
-    data.addRow({0.0}, 1.0);
-    data.addRow({1.0}, 3.0);
-    KnnRegressor knn(10);
-    knn.fit(data);
-    EXPECT_DOUBLE_EQ(knn.predict({0.5}), 2.0);
-}
-
-TEST(Knn, ExactDistanceTiesBreakByTrainingRowOrder)
-{
-    // Rows 0 and 1 are equidistant from the query. The tie must go to
-    // the earlier training row (insertion order), not to the smaller
-    // target value — the old target-based tie-break silently biased
-    // predictions low.
-    Dataset data({"x"});
-    data.addRow({1.0}, 100.0); // row 0: large target, same distance
-    data.addRow({-1.0}, 1.0);  // row 1: small target, same distance
-    data.addRow({5.0}, 50.0);  // row 2: farther away
-    KnnRegressor knn(1);
-    knn.fit(data);
-    EXPECT_DOUBLE_EQ(knn.predict({0.0}), 100.0);
-}
-
 TEST(KnnImpute, FillsFromNearestTemporalNeighbors)
 {
     //                 0    1    2     3(m)  4    5

@@ -662,6 +662,38 @@ TEST(ServeServer, RejectsUnknownModelAndEventMismatch)
     EXPECT_EQ(server.counters().failed, 2u);
 }
 
+TEST(ServeServer, LoadErrorsNameTheArtifactPathOnce)
+{
+    // A directory is not a regular file. Each layer of a load names the
+    // path only if no layer below it has, so every message names it
+    // once.
+    const std::string dir = tmpPath("cminer_serve_load_dir");
+    const std::string model_path = tmpPath("cminer_serve_load_model.ckpt");
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(core::saveMapmArtifact(toyArtifact(), model_path).ok());
+
+    serve::ServerOptions options;
+    options.startBatcher = false;
+    serve::Server server(options);
+    const util::Status model = server.loadModel("toy", dir);
+    EXPECT_EQ(model.code(), util::StatusCode::DataError);
+    EXPECT_EQ(model.message(),
+              "serve: load model: load mapm: not a regular file: " + dir);
+
+    const util::Status scorer_model = server.loadScorer("toy", dir, dir);
+    EXPECT_EQ(scorer_model.message(),
+              "serve: load scorer: load mapm: not a regular file: " + dir);
+
+    const util::Status scorer_clusters =
+        server.loadScorer("toy", model_path, dir);
+    EXPECT_EQ(scorer_clusters.message(),
+              "serve: load scorer: load cluster: not a regular file: " +
+                  dir);
+    EXPECT_TRUE(server.modelNames().empty());
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove(model_path);
+}
+
 TEST(ServeServer, UndecodableFrameStillGetsExactlyOneResponse)
 {
     serve::ServerOptions options;

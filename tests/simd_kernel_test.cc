@@ -1,18 +1,14 @@
 /**
  * @file
- * Differential harness for the SIMD kernel layer (DESIGN.md §13).
+ * Tests for the build-time kernels (DESIGN.md §13).
  *
- * Every kernel is run at every dispatch level available on this
- * machine and compared against the scalar reference on randomized
- * spans: lengths around the vector width, unaligned views, and
- * NaN/Inf/denormal/negative-zero payloads. Kernels in the
- * sequential-exact and blocked-reduction tiers must agree
- * bit-for-bit across levels (zero-sign excepted for the min/max
- * kernels, whose contract leaves it unspecified); the blocked
- * reductions are additionally checked ULP-bounded against the naive
- * left-fold they replaced. Property tests (permutation invariance,
- * triangle inequality, LB_Keogh <= DTW) pin down the math, not just
- * the agreement.
+ * lowerBoundBins, the one kernel left in src/simd, is checked against
+ * std::lower_bound on unaligned spans of 0 to 4097 values. The loops
+ * that moved to their callers (the LB_Keogh envelope and sum, the
+ * cleaner's finite range, fractionWithin's count, the histogram's bin
+ * assignment) are pinned by FNV-1a hashes of their public entry
+ * points, taken before they moved. Property tests check that LB_Keogh
+ * stays a lower bound of banded DTW.
  */
 
 #include <algorithm>
@@ -25,62 +21,27 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cleaner.h"
+#include "ml/dataset.h"
+#include "ml/decision_tree.h"
 #include "simd/simd.h"
+#include "stats/descriptive.h"
+#include "stats/histogram.h"
 #include "ts/dtw.h"
 #include "ts/lb_keogh.h"
 #include "util/rng.h"
 
 namespace {
 
-using cminer::simd::Level;
 namespace simd = cminer::simd;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-/** Restores the dispatch level active at construction. */
-class SimdLevelGuard
-{
-  public:
-    SimdLevelGuard() : saved_(simd::activeLevel()) {}
-    ~SimdLevelGuard() { simd::setLevel(saved_); }
-
-  private:
-    Level saved_;
-};
-
 /** Lengths bracketing 0, 1, the vector widths, blocks, and chunks. */
 const std::vector<std::size_t> kLengths = {
     0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 64, 65, 100, 1023, 4097,
 };
-
-bool
-bitsEqual(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) ==
-           std::bit_cast<std::uint64_t>(b);
-}
-
-/** Value equality with zero signs collapsed (min/max kernel contract). */
-bool
-valueEqual(double a, double b)
-{
-    if (std::isnan(a) && std::isnan(b))
-        return true;
-    return a + 0.0 == b + 0.0;
-}
-
-/**
- * Bit equality under the reduction contract: a NaN result carries an
- * unspecified payload/sign, so any NaN matches any NaN.
- */
-bool
-reductionBitsEqual(double a, double b)
-{
-    if (std::isnan(a) && std::isnan(b))
-        return true;
-    return bitsEqual(a, b);
-}
 
 enum class Payload
 {
@@ -125,269 +86,8 @@ unaligned(std::vector<double> &storage, const std::vector<double> &values)
     return std::span<const double>(storage).subspan(1);
 }
 
-template <typename Fn>
-void
-forEachLevel(Fn &&fn)
-{
-    for (Level level : simd::availableLevels()) {
-        simd::setLevel(level);
-        ASSERT_EQ(simd::activeLevel(), level);
-        fn(level);
-    }
-}
-
-TEST(SimdDispatch, LevelNamesRoundTrip)
-{
-    EXPECT_STREQ(simd::levelName(Level::Scalar), "scalar");
-    EXPECT_STREQ(simd::levelName(Level::Sse2), "sse2");
-    EXPECT_STREQ(simd::levelName(Level::Avx2), "avx2");
-    for (Level level : {Level::Scalar, Level::Sse2, Level::Avx2}) {
-        const auto parsed = simd::parseLevelName(simd::levelName(level));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, level);
-    }
-    EXPECT_FALSE(simd::parseLevelName("avx512").has_value());
-    EXPECT_FALSE(simd::parseLevelName("").has_value());
-    EXPECT_FALSE(simd::parseLevelName("SCALAR").has_value());
-}
-
-TEST(SimdDispatch, AvailableLevelsAscendFromScalar)
-{
-    const auto levels = simd::availableLevels();
-    ASSERT_FALSE(levels.empty());
-    EXPECT_EQ(levels.front(), Level::Scalar);
-    EXPECT_EQ(levels.back(), simd::detectedLevel());
-    for (std::size_t i = 1; i < levels.size(); ++i)
-        EXPECT_LT(levels[i - 1], levels[i]);
-}
-
-TEST(SimdDispatch, SetLevelClampsToDetected)
-{
-    SimdLevelGuard guard;
-    simd::setLevel(Level::Avx2);
-    EXPECT_LE(simd::activeLevel(), simd::detectedLevel());
-    simd::setLevel(Level::Scalar);
-    EXPECT_EQ(simd::activeLevel(), Level::Scalar);
-}
-
-TEST(SimdKernels, BlockedReductionsBitIdenticalAcrossLevels)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0xb10cced5);
-    std::vector<double> storage_a, storage_b;
-    for (const std::size_t n : kLengths) {
-        for (const Payload payload :
-             {Payload::Uniform, Payload::FiniteWild, Payload::Special}) {
-            const auto a_vec = makeValues(rng, n, payload);
-            const auto b_vec = makeValues(rng, n, payload);
-            const auto a = unaligned(storage_a, a_vec);
-            const auto b = unaligned(storage_b, b_vec);
-
-            simd::setLevel(Level::Scalar);
-            const double ref_dist = simd::squaredDistance(a, b);
-
-            forEachLevel([&](Level level) {
-                EXPECT_TRUE(reductionBitsEqual(
-                    simd::squaredDistance(a, b), ref_dist))
-                    << "squaredDistance n=" << n << " level="
-                    << simd::levelName(level);
-            });
-        }
-    }
-}
-
-TEST(SimdKernels, LbKeoghSumBitIdenticalAcrossLevels)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng seeded(0x1b0e95);
-    for (const std::size_t n : kLengths) {
-        for (const Payload payload :
-             {Payload::Uniform, Payload::FiniteWild, Payload::Special}) {
-            const auto center = makeValues(seeded, n, payload);
-            const auto slack = makeValues(seeded, n, Payload::Uniform);
-            const auto candidate = makeValues(seeded, n, payload);
-            std::vector<double> lower(n), upper(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                lower[i] = center[i] - std::abs(slack[i]);
-                upper[i] = center[i] + std::abs(slack[i]);
-            }
-            simd::setLevel(Level::Scalar);
-            const double ref = simd::lbKeoghSum(lower, upper, candidate);
-            forEachLevel([&](Level level) {
-                EXPECT_TRUE(reductionBitsEqual(
-                    simd::lbKeoghSum(lower, upper, candidate), ref))
-                    << "lbKeoghSum n=" << n << " level="
-                    << simd::levelName(level);
-            });
-        }
-    }
-}
-
-TEST(SimdKernels, BlockedSumWithinUlpsOfNaiveLeftFold)
-{
-    // squaredDistance against an all-zero partner: v - 0.0 is exact,
-    // so this is the four-lane blocked sum of v * v.
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x5eedf01d);
-    for (const std::size_t n : kLengths) {
-        std::vector<double> values(n);
-        for (auto &v : values)
-            v = rng.uniform(1.0, 2.0);
-        const std::vector<double> zeros(n, 0.0);
-        double naive_sq = 0.0;
-        for (double v : values)
-            naive_sq += v * v;
-        forEachLevel([&](Level) {
-            // The blocked schedule only reassociates additions of
-            // well-conditioned positive terms: agreement stays within
-            // a few ULP of the left fold.
-            EXPECT_NEAR(simd::squaredDistance(values, zeros), naive_sq,
-                        1e-12 * std::max(1.0, std::abs(naive_sq)));
-        });
-    }
-}
-
-TEST(SimdKernels, SumPermutationInvariantOnExactPayloads)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x9e3779b9);
-    for (const std::size_t n : {16u, 64u, 1000u}) {
-        // Squares of small integers sum exactly, so any block schedule
-        // and any permutation must give the same bits at every level.
-        // The all-zero partner makes squaredDistance a sum of squares.
-        std::vector<double> values(n);
-        for (auto &v : values)
-            v = static_cast<double>(rng.uniformInt(-1000, 1000));
-        const std::vector<double> zeros(n, 0.0);
-        const double expected = [&] {
-            double s = 0.0;
-            for (double v : values)
-                s += v * v;
-            return s;
-        }();
-        for (int shuffle = 0; shuffle < 4; ++shuffle) {
-            for (std::size_t i = values.size(); i > 1; --i) {
-                const auto j = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(i) - 1));
-                std::swap(values[i - 1], values[j]);
-            }
-            forEachLevel([&](Level level) {
-                EXPECT_TRUE(
-                    bitsEqual(simd::squaredDistance(values, zeros), expected))
-                    << "n=" << n << " level=" << simd::levelName(level);
-            });
-        }
-    }
-}
-
-TEST(SimdKernels, SquaredDistanceTriangleInequality)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x7419a273);
-    for (const std::size_t n : {1u, 5u, 33u, 256u}) {
-        const auto a = makeValues(rng, n, Payload::Uniform);
-        const auto b = makeValues(rng, n, Payload::Uniform);
-        const auto c = makeValues(rng, n, Payload::Uniform);
-        forEachLevel([&](Level) {
-            const double ab = std::sqrt(simd::squaredDistance(a, b));
-            const double bc = std::sqrt(simd::squaredDistance(b, c));
-            const double ac = std::sqrt(simd::squaredDistance(a, c));
-            EXPECT_LE(ac, ab + bc + 1e-9 * (1.0 + ab + bc));
-            EXPECT_GE(ab, 0.0);
-        });
-    }
-}
-
-TEST(SimdKernels, WindowMinMaxMatchesScalar)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x31415926);
-    std::vector<double> storage;
-    for (const std::size_t n : kLengths) {
-        if (n == 0)
-            continue; // contract: non-empty
-        const auto values_vec = makeValues(rng, n, Payload::FiniteWild);
-        const auto values = unaligned(storage, values_vec);
-        simd::setLevel(Level::Scalar);
-        double ref_mn = 0.0, ref_mx = 0.0;
-        simd::windowMinMax(values, ref_mn, ref_mx);
-        forEachLevel([&](Level level) {
-            double mn = 0.0, mx = 0.0;
-            simd::windowMinMax(values, mn, mx);
-            EXPECT_TRUE(valueEqual(mn, ref_mn))
-                << "n=" << n << " level=" << simd::levelName(level)
-                << " " << mn << " vs " << ref_mn;
-            EXPECT_TRUE(valueEqual(mx, ref_mx))
-                << "n=" << n << " level=" << simd::levelName(level)
-                << " " << mx << " vs " << ref_mx;
-        });
-    }
-}
-
-TEST(SimdKernels, MinMaxFiniteMatchesScalar)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x27182818);
-    std::vector<double> storage;
-    for (const std::size_t n : kLengths) {
-        for (const Payload payload :
-             {Payload::FiniteWild, Payload::Special}) {
-            const auto values_vec = makeValues(rng, n, payload);
-            const auto values = unaligned(storage, values_vec);
-            simd::setLevel(Level::Scalar);
-            double ref_mn = 0.0, ref_mx = 0.0;
-            std::size_t ref_count = 0;
-            simd::minMaxFinite(values, ref_mn, ref_mx, ref_count);
-            forEachLevel([&](Level level) {
-                double mn = 0.0, mx = 0.0;
-                std::size_t count = 0;
-                simd::minMaxFinite(values, mn, mx, count);
-                EXPECT_EQ(count, ref_count)
-                    << "n=" << n << " level=" << simd::levelName(level);
-                EXPECT_TRUE(valueEqual(mn, ref_mn))
-                    << "n=" << n << " level=" << simd::levelName(level);
-                EXPECT_TRUE(valueEqual(mx, ref_mx))
-                    << "n=" << n << " level=" << simd::levelName(level);
-            });
-        }
-    }
-    // All-non-finite spans report the no-data sentinel.
-    const std::vector<double> none = {kNan, kInf, -kInf, kNan};
-    forEachLevel([&](Level) {
-        double mn = 1.0, mx = 2.0;
-        std::size_t count = 99;
-        simd::minMaxFinite(none, mn, mx, count);
-        EXPECT_EQ(count, 0u);
-        EXPECT_EQ(mn, 0.0);
-        EXPECT_EQ(mx, 0.0);
-    });
-}
-
-TEST(SimdKernels, CountLessEqualMatchesScalar)
-{
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x16180339);
-    std::vector<double> storage;
-    for (const std::size_t n : kLengths) {
-        const auto values_vec = makeValues(rng, n, Payload::Special);
-        const auto values = unaligned(storage, values_vec);
-        for (const double threshold :
-             {0.0, -0.0, 17.5, -120.0, kInf, -kInf, kNan}) {
-            simd::setLevel(Level::Scalar);
-            const std::size_t ref =
-                simd::countLessEqual(values, threshold);
-            forEachLevel([&](Level level) {
-                EXPECT_EQ(simd::countLessEqual(values, threshold), ref)
-                    << "n=" << n << " threshold=" << threshold
-                    << " level=" << simd::levelName(level);
-            });
-        }
-    }
-}
-
 TEST(SimdKernels, LowerBoundBinsMatchesScalar)
 {
-    SimdLevelGuard guard;
     cminer::util::Rng rng(0x14142135);
     std::vector<double> storage;
     for (const std::size_t edge_count : {1u, 2u, 3u, 5u, 17u, 32u, 33u,
@@ -400,72 +100,237 @@ TEST(SimdKernels, LowerBoundBinsMatchesScalar)
         if (edge_count >= 4)
             edges[2] = edges[1];
         for (const std::size_t n : kLengths) {
-            auto values_vec = makeValues(rng, n, Payload::FiniteWild);
-            // Exercise exact-hit paths: values equal to edges.
-            for (auto &v : values_vec) {
-                if (rng.bernoulli(0.2))
-                    v = edges[static_cast<std::size_t>(rng.uniformInt(
-                        0, static_cast<std::int64_t>(edge_count) - 1))];
+            for (const Payload payload :
+                 {Payload::FiniteWild, Payload::Special}) {
+                auto values_vec = makeValues(rng, n, payload);
+                // Exercise exact-hit paths: values equal to edges.
+                for (auto &v : values_vec) {
+                    if (rng.bernoulli(0.2))
+                        v = edges[static_cast<std::size_t>(rng.uniformInt(
+                            0, static_cast<std::int64_t>(edge_count) - 1))];
+                }
+                const auto values = unaligned(storage, values_vec);
+                std::vector<std::uint8_t> expected(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const auto it = std::lower_bound(
+                        edges.begin(), edges.end(), values[i]);
+                    expected[i] = static_cast<std::uint8_t>(std::min(
+                        static_cast<std::size_t>(it - edges.begin()),
+                        edge_count - 1));
+                }
+                // The output starts one byte into its buffer too.
+                std::vector<std::uint8_t> got(n + 1, 0x11);
+                simd::lowerBoundBins(values, edges,
+                                     std::span<std::uint8_t>(got).subspan(1));
+                EXPECT_EQ(got[0], 0x11) << "wrote before the output";
+                EXPECT_EQ(std::vector<std::uint8_t>(got.begin() + 1,
+                                                    got.end()),
+                          expected)
+                    << "edges=" << edge_count << " n=" << n;
             }
-            const auto values = unaligned(storage, values_vec);
-            std::vector<std::uint8_t> ref(n, 0xee), got(n, 0x11);
-            simd::setLevel(Level::Scalar);
-            simd::lowerBoundBins(values, edges, ref);
-            forEachLevel([&](Level level) {
-                std::fill(got.begin(), got.end(), std::uint8_t{0x11});
-                simd::lowerBoundBins(values, edges, got);
-                EXPECT_EQ(got, ref)
-                    << "edges=" << edge_count << " n=" << n
-                    << " level=" << simd::levelName(level);
-            });
         }
     }
 }
 
-TEST(SimdKernels, EquiWidthBinsMatchesScalar)
+/** 64-bit FNV-1a over the little-endian bytes of each word added. */
+class Fnv1a
 {
-    SimdLevelGuard guard;
-    cminer::util::Rng rng(0x17320508);
-    std::vector<double> storage;
-    for (const std::size_t bins : {1u, 2u, 7u, 32u, 1000u}) {
-        const double low = rng.uniform(-100.0, 0.0);
-        const double high = low + rng.uniform(1.0, 200.0);
-        const double width =
-            (high - low) / static_cast<double>(bins);
-        for (const std::size_t n : kLengths) {
-            std::vector<double> values_vec(n);
-            for (auto &v : values_vec) {
-                // Mostly in range, some straddling the boundaries.
-                v = rng.uniform(low - 10.0, high + 10.0);
-                if (rng.bernoulli(0.1))
-                    v = rng.bernoulli(0.5) ? low : high;
-            }
-            const auto values = unaligned(storage, values_vec);
-            std::vector<std::uint32_t> ref(n, 7777), got(n, 1111);
-            simd::setLevel(Level::Scalar);
-            simd::equiWidthBins(values, low, high, width, bins, ref);
-            forEachLevel([&](Level level) {
-                std::fill(got.begin(), got.end(), std::uint32_t{1111});
-                simd::equiWidthBins(values, low, high, width, bins, got);
-                EXPECT_EQ(got, ref)
-                    << "bins=" << bins << " n=" << n
-                    << " level=" << simd::levelName(level);
-            });
+  public:
+    void
+    add(std::uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (word >> (8 * byte)) & 0xffU;
+            hash_ *= 0x100000001b3ULL;
         }
     }
-    // Degenerate width: everything lands in bin zero at every level.
-    const std::vector<double> values = {1.0, 2.0, 3.0};
-    forEachLevel([&](Level) {
-        std::vector<std::uint32_t> got(values.size(), 42);
-        simd::equiWidthBins(values, 5.0, 5.0, 0.0, 4, got);
-        for (const std::uint32_t b : got)
-            EXPECT_EQ(b, 0u);
-    });
+
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** Envelopes and LB_Keogh bounds, radii from 0 to past the series. */
+std::uint64_t
+envelopeBoundHash()
+{
+    namespace ts = cminer::ts;
+    cminer::util::Rng rng(0xe7e10be);
+    Fnv1a hash;
+    for (const std::size_t n : kLengths) {
+        if (n == 0)
+            continue; // computeEnvelope requires a non-empty series
+        const auto series = makeValues(rng, n, Payload::FiniteWild);
+        const auto candidate = makeValues(rng, n, Payload::FiniteWild);
+        for (const std::size_t radius :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2},
+              std::size_t{5}, n / 10 + 1, n - 1, n, n + 3}) {
+            const auto envelope = ts::computeEnvelope(series, radius);
+            for (std::size_t i = 0; i < n; ++i) {
+                hash.add(envelope.lower[i]);
+                hash.add(envelope.upper[i]);
+            }
+            hash.add(ts::lbKeogh(envelope, candidate));
+        }
+    }
+    return hash.value();
+}
+
+/** fractionWithin with NaN and +-Inf in the values and the threshold. */
+std::uint64_t
+fractionWithinHash()
+{
+    cminer::util::Rng rng(0xf4ac7);
+    Fnv1a hash;
+    for (const std::size_t n : kLengths) {
+        const auto values = makeValues(rng, n, Payload::Special);
+        for (const double threshold :
+             {0.0, -0.0, 17.5, -120.0, 1e308, kInf, -kInf, kNan})
+            hash.add(cminer::stats::fractionWithin(values, threshold));
+    }
+    return hash.value();
+}
+
+/** Histogram counts and interval medians in, at and past the range. */
+std::uint64_t
+histogramHash()
+{
+    namespace stats = cminer::stats;
+    cminer::util::Rng rng(0x415706);
+    Fnv1a hash;
+    for (const std::size_t n : {1u, 2u, 3u, 8u, 17u, 100u, 1023u}) {
+        std::vector<double> values(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Repeats and a coarse grid put values on bin boundaries.
+            values[i] = i > 0 && rng.bernoulli(0.2)
+                            ? values[i - 1]
+                            : 0.25 * static_cast<double>(
+                                         rng.uniformInt(-200, 200));
+        }
+        for (const std::size_t bins : {0u, 1u, 2u, 7u, 32u, 1000u}) {
+            const stats::Histogram histogram =
+                bins == 0 ? stats::Histogram(values)
+                          : stats::Histogram(values, bins);
+            hash.add(std::uint64_t{histogram.binCount()});
+            hash.add(histogram.binWidth());
+            for (std::size_t b = 0; b < histogram.binCount(); ++b)
+                hash.add(std::uint64_t{histogram.count(b)});
+            const double low = histogram.low();
+            const double high = histogram.high();
+            for (const double q :
+                 {low, high, low - 1.0, high + 1.0, -kInf, kInf,
+                  0.5 * (low + high), low + 0.3 * (high - low)})
+                hash.add(histogram.intervalMedian(q));
+            for (const double v : values)
+                hash.add(histogram.intervalMedian(v));
+        }
+    }
+    return hash.value();
+}
+
+/** The cleaner on all-non-finite series and on damaged ones. */
+std::uint64_t
+cleanerHash()
+{
+    const cminer::core::DataCleaner cleaner;
+    cminer::util::Rng rng(0xc1ea);
+    Fnv1a hash;
+    auto clean = [&](std::vector<double> values) {
+        const auto report = cleaner.cleanValues("EVT", values);
+        for (const double v : values)
+            hash.add(v);
+        hash.add(std::uint64_t{report.outliersReplaced});
+        hash.add(std::uint64_t{report.missingFilled});
+        hash.add(std::uint64_t{report.nonFiniteRepaired});
+        hash.add(std::uint64_t{report.trueZerosKept});
+        hash.add(report.thresholdN);
+        hash.add(report.threshold);
+        for (const char c : report.distribution)
+            hash.add(std::uint64_t{static_cast<unsigned char>(c)});
+    };
+    const double specials[] = {kNan, kInf, -kInf};
+    for (const std::size_t n : {1u, 2u, 7u, 64u}) {
+        std::vector<double> values(n);
+        for (auto &v : values)
+            v = specials[rng.uniformInt(0, 2)];
+        clean(values);
+    }
+    for (const std::size_t n : {16u, 160u, 1000u}) {
+        std::vector<double> values(n);
+        for (auto &v : values) {
+            v = rng.gaussian(300.0, 20.0);
+            if (rng.bernoulli(0.05))
+                v = 0.0;
+            else if (rng.bernoulli(0.03))
+                v = specials[rng.uniformInt(0, 2)];
+            else if (rng.bernoulli(0.03))
+                v = -v;
+            else if (rng.bernoulli(0.02))
+                v *= 20.0;
+        }
+        clean(values);
+    }
+    // Genuine zeros: the true-zero rule keeps them.
+    std::vector<double> small(40, 0.0);
+    for (std::size_t i = 0; i < small.size(); i += 3)
+        small[i] = 0.005;
+    small[7] = kNan;
+    clean(small);
+    return hash.value();
+}
+
+/** FeatureBinner edges and bin columns, 1 to 255 edges. */
+std::uint64_t
+featureBinnerHash()
+{
+    namespace ml = cminer::ml;
+    cminer::util::Rng rng(0xb1225);
+    Fnv1a hash;
+    for (const std::size_t rows : {1u, 2u, 3u, 5u, 64u, 601u}) {
+        std::vector<std::vector<double>> columns(5,
+                                                 std::vector<double>(rows));
+        const auto wild = makeValues(rng, rows, Payload::FiniteWild);
+        for (std::size_t r = 0; r < rows; ++r) {
+            columns[0][r] = rng.uniform(-50.0, 50.0);
+            columns[1][r] = static_cast<double>(rng.uniformInt(0, 3));
+            columns[2][r] = 7.0;
+            columns[3][r] = wild[r];
+            columns[4][r] = std::round(rng.gaussian() * 10.0) / 10.0;
+        }
+        const ml::Dataset data = ml::Dataset::fromColumns(
+            {"uniform", "four", "constant", "wild", "tenths"},
+            std::move(columns), std::vector<double>(rows, 0.0));
+        for (const std::size_t max_bins :
+             {2u, 3u, 5u, 16u, 32u, 33u, 34u, 64u, 128u, 255u}) {
+            const ml::FeatureBinner binner(data, max_bins);
+            for (std::size_t f = 0; f < data.featureCount(); ++f) {
+                hash.add(std::uint64_t{binner.binCount(f)});
+                for (std::size_t b = 0; b < binner.binCount(f); ++b)
+                    hash.add(binner.upperEdge(f, b));
+                for (const std::uint8_t bin : binner.binColumn(f))
+                    hash.add(std::uint64_t{bin});
+            }
+        }
+    }
+    return hash.value();
+}
+
+// The kernels that left src/simd keep their bits: each hash covers the
+// public entry points over one of them and was taken before the move.
+TEST(SimdKernels, MovedKernelsKeepTheirBits)
+{
+    EXPECT_EQ(envelopeBoundHash(), 0x747d5d50a8c243eeULL);
+    EXPECT_EQ(fractionWithinHash(), 0xbe6b7dc784e25467ULL);
+    EXPECT_EQ(histogramHash(), 0x17854b74a673bab8ULL);
+    EXPECT_EQ(cleanerHash(), 0x42379acbc2ca6841ULL);
+    EXPECT_EQ(featureBinnerHash(), 0x07e8ae50be8bb652ULL);
 }
 
 TEST(SimdProperties, LbKeoghBoundsDtwAcrossLevels)
 {
-    SimdLevelGuard guard;
     cminer::util::Rng rng(0x6a09e667);
     namespace ts = cminer::ts;
     for (int trial = 0; trial < 8; ++trial) {
@@ -475,15 +340,12 @@ TEST(SimdProperties, LbKeoghBoundsDtwAcrossLevels)
         const auto b = makeValues(rng, n, Payload::Uniform);
         const double band_fraction = 0.1;
         const auto radius = ts::dtwBandHalfWidth(n, n, band_fraction) + 1;
-        forEachLevel([&](Level level) {
-            const auto envelope = ts::computeEnvelope(a, radius);
-            const double bound = ts::lbKeogh(envelope, b);
-            ts::DtwOptions options;
-            options.bandFraction = band_fraction;
-            const double distance = ts::dtwDistance(a, b, options);
-            EXPECT_LE(bound, distance + 1e-9 * (1.0 + distance))
-                << "n=" << n << " level=" << simd::levelName(level);
-        });
+        const auto envelope = ts::computeEnvelope(a, radius);
+        const double bound = ts::lbKeogh(envelope, b);
+        ts::DtwOptions options;
+        options.bandFraction = band_fraction;
+        const double distance = ts::dtwDistance(a, b, options);
+        EXPECT_LE(bound, distance + 1e-9 * (1.0 + distance)) << "n=" << n;
     }
 }
 
@@ -499,7 +361,6 @@ TEST(SimdProperties, LbKeoghBoundsDtwAcrossLevels)
  */
 TEST(SimdProperties, LbKeoghBoundsDtwOnZNormalizedSeries)
 {
-    SimdLevelGuard guard;
     cminer::util::Rng rng(0xbb67ae85);
     namespace ts = cminer::ts;
     const double band_fraction = 0.1;
@@ -544,16 +405,13 @@ TEST(SimdProperties, LbKeoghBoundsDtwOnZNormalizedSeries)
         // The envelope radius the mining search uses: at least the DTW
         // band half-width, keeping the bound admissible.
         const auto radius = ts::dtwBandHalfWidth(n, n, band_fraction) + 1;
-        forEachLevel([&](Level level) {
-            const auto envelope = ts::computeEnvelope(a, radius);
-            const double bound = ts::lbKeogh(envelope, b);
-            ts::DtwOptions options;
-            options.bandFraction = band_fraction;
-            const double distance = ts::dtwDistance(a, b, options);
-            EXPECT_LE(bound, distance + 1e-9 * (1.0 + distance))
-                << "n=" << n << " kinds=" << kind_a << "," << kind_b
-                << " level=" << simd::levelName(level);
-        });
+        const auto envelope = ts::computeEnvelope(a, radius);
+        const double bound = ts::lbKeogh(envelope, b);
+        ts::DtwOptions options;
+        options.bandFraction = band_fraction;
+        const double distance = ts::dtwDistance(a, b, options);
+        EXPECT_LE(bound, distance + 1e-9 * (1.0 + distance))
+            << "n=" << n << " kinds=" << kind_a << "," << kind_b;
     }
 }
 
