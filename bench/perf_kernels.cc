@@ -689,6 +689,18 @@ BM_ServeDecodePredict(benchmark::State &state)
 }
 BENCHMARK(BM_ServeDecodePredict)->Arg(1)->Arg(64)->Arg(1024);
 
+/**
+ * Installs a metrics registry for one benchmark, as `cminer serve`
+ * always runs with one: the daemon counts every event it answers
+ * there. Declare it before the Server, which counts until it is gone.
+ */
+struct ServeMetrics
+{
+    ServeMetrics() { util::setGlobalMetrics(&registry); }
+    ~ServeMetrics() { util::setGlobalMetrics(nullptr); }
+    util::MetricsRegistry registry;
+};
+
 /** A 50-tree MAPM over 16 events and the rows it was fit on. */
 struct ServeBench
 {
@@ -736,6 +748,7 @@ BM_ServeBatchPipeline(benchmark::State &state)
     const std::size_t burst = static_cast<std::size_t>(state.range(0));
     ServeBench bench = makeServeBench();
 
+    const ServeMetrics metrics;
     serve::ServerOptions options;
     options.startBatcher = false;
     options.queueCap = burst;
@@ -778,6 +791,7 @@ BM_ServeRoundTrip(benchmark::State &state)
     std::condition_variable answered;
     std::size_t responses = 0;
     std::string last;
+    const ServeMetrics metrics;
     serve::Server server; // default options: the batcher thread runs
     server.registerModel("bench", std::move(bench.artifact));
 

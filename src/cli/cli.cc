@@ -231,12 +231,14 @@ mining::AnomalyScorer loadScorerPair(const std::string &spec);
  * command when `--trace-out` / `--metrics-out` ask for them, and writes
  * the JSON exports when the command succeeds. With both flags absent
  * nothing is installed and every span/counter in the pipeline stays a
- * null-pointer check (the zero-overhead contract).
+ * null-pointer check (the zero-overhead contract), except that
+ * `always_count` installs a registry regardless: `serve` counts what
+ * it answers there, so the daemon always runs with one.
  */
 class ObservabilityScope
 {
   public:
-    explicit ObservabilityScope(const Flags &flags)
+    ObservabilityScope(const Flags &flags, bool always_count)
         : tracePath_(flags.get("trace-out", "")),
           metricsPath_(flags.get("metrics-out", ""))
     {
@@ -244,7 +246,7 @@ class ObservabilityScope
             tracer_.emplace(clock_);
             util::setGlobalTracer(&*tracer_);
         }
-        if (!metricsPath_.empty()) {
+        if (always_count || !metricsPath_.empty()) {
             metrics_.emplace();
             util::setGlobalMetrics(&*metrics_);
         }
@@ -267,7 +269,7 @@ class ObservabilityScope
             writeFile(tracePath_, tracer_->toJson());
             output += "wrote trace to " + tracePath_ + "\n";
         }
-        if (metrics_) {
+        if (!metricsPath_.empty()) {
             writeFile(metricsPath_, metrics_->toJson());
             output += "wrote metrics to " + metricsPath_ + "\n";
         }
@@ -822,12 +824,15 @@ cmdStats(const Flags &flags, std::string &output)
     }
     if (!snapshot.histograms.empty()) {
         util::TablePrinter table({"histogram", "count", "total ms",
-                                  "mean ms", "min ms", "max ms"});
+                                  "mean ms", "min ms", "p50 ms",
+                                  "p99 ms", "max ms"});
         for (const auto &[name, h] : snapshot.histograms) {
             table.addRow({name, std::to_string(h.count),
                           util::formatDouble(h.totalMs, 3),
                           util::formatDouble(h.meanMs(), 3),
                           util::formatDouble(h.minMs, 3),
+                          util::formatDouble(h.p50Ms, 3),
+                          util::formatDouble(h.p99Ms, 3),
                           util::formatDouble(h.maxMs, 3)});
         }
         output += table.render();
@@ -1119,6 +1124,14 @@ cmdServe(const Flags &flags, std::string &output)
     options.storeMemoryBudgetBytes = budget_mb << 20;
     options.backend = getBackendFlag(flags);
 
+    // The registry ObservabilityScope installed for this command, which
+    // outlives the server: the server's counts are the daemon's only
+    // record of what it answered.
+    util::MetricsRegistry &metrics = *util::globalMetrics();
+    const auto count = [&metrics](const char *name) {
+        return static_cast<unsigned long long>(
+            metrics.counter(name).value());
+    };
     serve::Server server(options);
 
     // Checkpoints load once, up front; the request path never touches
@@ -1175,14 +1188,11 @@ cmdServe(const Flags &flags, std::string &output)
                                      flags.get("socket", ""));
         listener.listen().throwIfError();
         listener.serveForever().throwIfError();
-        const auto counts = server.counters();
         output += util::format(
             "served %zu connections: %llu ok, %llu shed, %llu "
             "deadline-missed\n",
-            listener.connectionCount(),
-            static_cast<unsigned long long>(counts.completed),
-            static_cast<unsigned long long>(counts.shed),
-            static_cast<unsigned long long>(counts.deadlineMissed));
+            listener.connectionCount(), count("serve.requests_ok"),
+            count("serve.requests_shed"), count("serve.deadline_missed"));
         return 0;
     }
 
@@ -1234,15 +1244,12 @@ cmdServe(const Flags &flags, std::string &output)
     const auto result = serveConnection(server, *source, *sink);
     server.drain();
 
-    const auto counts = server.counters();
     output += util::format(
         "served %zu frames: %llu ok, %llu shed, %llu deadline-missed, "
         "%llu failed\n",
-        result.framesRead,
-        static_cast<unsigned long long>(counts.completed),
-        static_cast<unsigned long long>(counts.shed),
-        static_cast<unsigned long long>(counts.deadlineMissed),
-        static_cast<unsigned long long>(counts.failed));
+        result.framesRead, count("serve.requests_ok"),
+        count("serve.requests_shed"), count("serve.deadline_missed"),
+        count("serve.requests_failed"));
     if (!result.transportStatus.ok())
         output += "transport: " + result.transportStatus.toString() +
                   "\n";
@@ -1459,7 +1466,8 @@ run(const std::vector<std::string> &args, std::string &output)
         if (flags.has("threads"))
             util::Parallelism::setThreadCount(flags.getInt(
                 "threads", 0, 1, util::Parallelism::max_threads));
-        ObservabilityScope observability(flags);
+        ObservabilityScope observability(flags,
+                                         command->run == cmdServe);
         const int code = command->run(flags, output);
         if (code == 0)
             observability.writeReports(output);

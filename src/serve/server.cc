@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -18,60 +17,6 @@
 namespace cminer::serve {
 
 namespace util = cminer::util;
-
-// ---- LatencyHistogram -----------------------------------------------
-
-double
-LatencyHistogram::edge(std::size_t index)
-{
-    // Bucket 0 tops out at 1/16 ms; each bucket doubles.
-    return std::ldexp(1.0, static_cast<int>(index) - 4);
-}
-
-void
-LatencyHistogram::record(double ms)
-{
-    if (ms < 0.0)
-        ms = 0.0;
-    std::size_t bucket = 0;
-    while (bucket + 1 < bucket_count && ms > edge(bucket))
-        ++bucket;
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++buckets_[bucket];
-    ++count_;
-    maxMs_ = std::max(maxMs_, ms);
-}
-
-double
-LatencyHistogram::percentile(double q) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0)
-        return 0.0;
-    const auto target = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < bucket_count; ++b) {
-        seen += buckets_[b];
-        if (seen >= target)
-            return edge(b);
-    }
-    return edge(bucket_count - 1);
-}
-
-std::uint64_t
-LatencyHistogram::count() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-}
-
-double
-LatencyHistogram::maxMs() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return maxMs_;
-}
 
 // ---- Server ---------------------------------------------------------
 
@@ -217,27 +162,6 @@ void
 Server::respond(const std::function<void(std::string)> &done,
                 const Response &response)
 {
-    {
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        switch (response.code) {
-          case util::StatusCode::Ok:
-            if (response.type == MessageType::Predict)
-                ++counters_.completed;
-            break;
-          case util::StatusCode::DeadlineExceeded:
-            ++counters_.deadlineMissed;
-            break;
-          case util::StatusCode::CapacityError:
-            if (response.type == MessageType::Mine)
-                ++counters_.minesRefused;
-            else
-                ++counters_.shed;
-            break;
-          default:
-            ++counters_.failed;
-            break;
-        }
-    }
     switch (response.code) {
       case util::StatusCode::Ok:
         if (response.type == MessageType::Predict)
@@ -272,20 +196,13 @@ Server::submitFrame(std::string payload,
 {
     auto decoded = decodeRequest(std::move(payload));
     if (!decoded.ok()) {
-        {
-            std::lock_guard<std::mutex> lock(countersMutex_);
-            ++counters_.decodeErrors;
-        }
         util::count("serve.decode_errors");
         // The id is unrecoverable from a frame that failed to decode;
         // the client matches this response by its Unknown type.
         respondFailure(done, MessageType::Unknown, 0, decoded.status());
         return;
     }
-    {
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.framesDecoded;
-    }
+    util::count("serve.frames_decoded");
 
     auto request = std::move(decoded).value();
     if (auto *predict = std::get_if<PredictRequest>(&request)) {
@@ -366,10 +283,6 @@ Server::handlePredict(PredictRequest request,
         }
     }
     if (admitted) {
-        {
-            std::lock_guard<std::mutex> lock(countersMutex_);
-            ++counters_.admitted;
-        }
         util::count("serve.requests_admitted");
         batchWake_.notify_all();
         return;
@@ -519,10 +432,6 @@ Server::runMine(const MineRequest &request, const Deadline &deadline,
                            flushed.message());
         }
 
-        {
-            std::lock_guard<std::mutex> lock(countersMutex_);
-            ++counters_.minesCompleted;
-        }
         util::count("serve.mines_completed");
         Response ok;
         ok.type = MessageType::Mine;
@@ -610,12 +519,6 @@ Server::handleScore(const ScoreRequest &request,
         return;
     }
 
-    {
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.scored;
-        if (verdict.anomalous)
-            ++counters_.anomaliesFlagged;
-    }
     util::count("serve.scores");
     if (verdict.anomalous)
         util::count("serve.anomalies_flagged");
@@ -683,29 +586,21 @@ Server::drain()
     });
 }
 
-ServeCounters
-Server::counters() const
-{
-    std::lock_guard<std::mutex> lock(countersMutex_);
-    return counters_;
-}
-
 std::string
 Server::statsJson() const
 {
-    const ServeCounters c = counters();
-    const auto models = modelNames();
+    // The server's own state first, then the registry's document: the
+    // two locks are never held together here, while the queue gauge
+    // takes them nested (server, then registry).
     util::JsonWriter json;
     json.beginObject();
     json.key("serve");
     json.beginObject();
-    json.key("queueDepth");
-    json.value(queueDepth());
     json.key("draining");
     json.value(draining());
     json.key("models");
     json.beginArray();
-    for (const auto &name : models)
+    for (const auto &name : modelNames())
         json.value(name);
     json.endArray();
     json.key("scorers");
@@ -713,46 +608,6 @@ Server::statsJson() const
     for (const auto &name : scorerNames())
         json.value(name);
     json.endArray();
-    json.key("counters");
-    json.beginObject();
-    json.key("framesDecoded");
-    json.value(static_cast<std::size_t>(c.framesDecoded));
-    json.key("decodeErrors");
-    json.value(static_cast<std::size_t>(c.decodeErrors));
-    json.key("admitted");
-    json.value(static_cast<std::size_t>(c.admitted));
-    json.key("shed");
-    json.value(static_cast<std::size_t>(c.shed));
-    json.key("completed");
-    json.value(static_cast<std::size_t>(c.completed));
-    json.key("failed");
-    json.value(static_cast<std::size_t>(c.failed));
-    json.key("deadlineMissed");
-    json.value(static_cast<std::size_t>(c.deadlineMissed));
-    json.key("batches");
-    json.value(static_cast<std::size_t>(c.batches));
-    json.key("rowsScored");
-    json.value(static_cast<std::size_t>(c.rowsScored));
-    json.key("minesCompleted");
-    json.value(static_cast<std::size_t>(c.minesCompleted));
-    json.key("minesRefused");
-    json.value(static_cast<std::size_t>(c.minesRefused));
-    json.key("scored");
-    json.value(static_cast<std::size_t>(c.scored));
-    json.key("anomaliesFlagged");
-    json.value(static_cast<std::size_t>(c.anomaliesFlagged));
-    json.endObject();
-    json.key("latencyMs");
-    json.beginObject();
-    json.key("count");
-    json.value(static_cast<std::size_t>(latency_.count()));
-    json.key("p50");
-    json.value(latency_.percentile(0.50));
-    json.key("p99");
-    json.value(latency_.percentile(0.99));
-    json.key("max");
-    json.value(latency_.maxMs());
-    json.endObject();
     if (store_ != nullptr) {
         const store::StoreStats s = store_->storeStats();
         json.key("store");
@@ -774,6 +629,12 @@ Server::statsJson() const
         json.endObject();
     }
     json.endObject();
+    json.key("metrics");
+    const util::MetricsAccess metrics;
+    if (metrics)
+        metrics.get()->writeJson(json);
+    else
+        util::MetricsRegistry().writeJson(json);
     json.endObject();
     return json.str();
 }
@@ -889,21 +750,15 @@ Server::processBatch(std::vector<PendingPredict> batch)
                         predictions.begin() +
                             static_cast<std::ptrdiff_t>(offset +
                                                         r.rowCount));
-                    const double waited =
-                        clock().nowMs() - pending.admittedMs;
-                    latency_.record(waited);
-                    util::recordDuration("serve.latency_ms", waited);
+                    util::recordDuration(
+                        "serve.latency_ms",
+                        clock().nowMs() - pending.admittedMs);
                     respond(pending.done, ok);
                     pending.done = nullptr;
                 }
                 offset += r.rowCount;
             }
 
-            {
-                std::lock_guard<std::mutex> lock(countersMutex_);
-                ++counters_.batches;
-                counters_.rowsScored += total_rows;
-            }
             util::count("serve.batches");
             util::count("serve.rows_scored", total_rows);
         } catch (const std::exception &e) {

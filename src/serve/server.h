@@ -42,7 +42,6 @@
 #ifndef CMINER_SERVE_SERVER_H
 #define CMINER_SERVE_SERVER_H
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -117,66 +116,6 @@ struct ServerOptions
     cminer::pmu::BackendKind backend = cminer::pmu::BackendKind::Sim;
 };
 
-/** Monotonic serving counters (a consistent snapshot). */
-struct ServeCounters
-{
-    /** Frames decoded into requests. */
-    std::uint64_t framesDecoded = 0;
-    /** Frames rejected by the protocol decoder. */
-    std::uint64_t decodeErrors = 0;
-    /** Predict requests accepted into the queue. */
-    std::uint64_t admitted = 0;
-    /** Predict requests shed with CapacityError (queue full). */
-    std::uint64_t shed = 0;
-    /** Predict requests answered Ok. */
-    std::uint64_t completed = 0;
-    /** Requests answered with a non-Ok, non-shed, non-deadline code. */
-    std::uint64_t failed = 0;
-    /** Requests answered DeadlineExceeded at any stage. */
-    std::uint64_t deadlineMissed = 0;
-    /** Columnar scoring batches run. */
-    std::uint64_t batches = 0;
-    /** Rows scored across all batches. */
-    std::uint64_t rowsScored = 0;
-    /** Mining jobs finished successfully. */
-    std::uint64_t minesCompleted = 0;
-    /** Mining jobs refused (drain, pressure, or mine queue full). */
-    std::uint64_t minesRefused = 0;
-    /** Score requests answered Ok. */
-    std::uint64_t scored = 0;
-    /** Scored runs that tripped a calibrated threshold. */
-    std::uint64_t anomaliesFlagged = 0;
-};
-
-/**
- * Fixed-bucket latency histogram with power-of-two bucket edges from
- * 1/16 ms up; record() and percentile() take an internal mutex
- * (request granularity, never a hot loop). Percentiles report the
- * bucket's upper edge — a deterministic upper bound.
- */
-class LatencyHistogram
-{
-  public:
-    void record(double ms);
-
-    /** Upper edge of the bucket holding the q-quantile (q in (0,1]). */
-    double percentile(double q) const;
-
-    std::uint64_t count() const;
-    double maxMs() const;
-
-  private:
-    static constexpr std::size_t bucket_count = 28;
-
-    /** Upper edge of bucket `index` in ms: 2^(index-4). */
-    static double edge(std::size_t index);
-
-    mutable std::mutex mutex_;
-    std::array<std::uint64_t, bucket_count> buckets_{};
-    std::uint64_t count_ = 0;
-    double maxMs_ = 0.0;
-};
-
 /**
  * The serving daemon core. Thread-safe: submitFrame may be called from
  * any number of connection threads; responses are delivered through
@@ -184,6 +123,10 @@ class LatencyHistogram
  * (the caller for shed/stats/errors, the batcher for predicts, the
  * mining worker for mines). Every submitted frame gets exactly one
  * response.
+ *
+ * Every serve event is counted once, in the installed metrics
+ * registry (`serve.*`, util/metrics.h); the server keeps no counts of
+ * its own. With no registry installed each count is one pointer load.
  */
 class Server
 {
@@ -266,13 +209,12 @@ class Server
      */
     void drain();
 
-    /** Counter snapshot (internally consistent). */
-    ServeCounters counters() const;
-
-    /** End-to-end predict latency histogram. */
-    const LatencyHistogram &latency() const { return latency_; }
-
-    /** The stats dashboard as one JSON object. */
+    /**
+     * The stats dashboard as one JSON object: {"serve": {"draining",
+     * "models", "scorers", "store"}, "metrics": the installed
+     * registry's document (MetricsRegistry::toJson; empty sections
+     * when none is installed)}.
+     */
     std::string statsJson() const;
 
   private:
@@ -349,6 +291,10 @@ class Server
                        std::shared_ptr<const mining::AnomalyScorer>>
         scorers_;
 
+    /**
+     * Guards the queue and drain state. The queue gauge is set while
+     * it is held, so the lock order is mutex_, then the registry's.
+     */
     mutable std::mutex mutex_;
     std::deque<PendingPredict> queue_;
     std::condition_variable batchWake_;
@@ -358,10 +304,6 @@ class Server
     bool draining_ = false;
     /** Set by the destructor: batcher exits once the queue is empty. */
     bool stopping_ = false;
-
-    mutable std::mutex countersMutex_;
-    ServeCounters counters_;
-    LatencyHistogram latency_;
 
     /** One worker: mining is serialized, bounded by mineQueueCap. */
     cminer::util::ThreadPool minePool_;

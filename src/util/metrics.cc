@@ -14,6 +14,11 @@ namespace cminer::util {
 void
 DurationHistogram::record(double ms)
 {
+    // Bucket 0 tops out at 1/16 ms; each bucket doubles.
+    std::size_t bucket = 0;
+    for (double edge = 1.0 / 16.0;
+         bucket + 1 < bucket_count && ms > edge; edge *= 2.0)
+        ++bucket;
     std::lock_guard<std::mutex> lock(mutex_);
     if (data_.count == 0) {
         data_.minMs = ms;
@@ -24,13 +29,42 @@ DurationHistogram::record(double ms)
     }
     ++data_.count;
     data_.totalMs += ms;
+    ++buckets_[bucket];
 }
 
 DurationHistogram::Snapshot
 DurationHistogram::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return data_;
+    Snapshot out = data_;
+    out.p50Ms = percentileLocked(0.50);
+    out.p99Ms = percentileLocked(0.99);
+    return out;
+}
+
+double
+DurationHistogram::percentile(double q) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return percentileLocked(q);
+}
+
+double
+DurationHistogram::percentileLocked(double q) const
+{
+    if (data_.count == 0)
+        return 0.0;
+    const auto target = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(data_.count)));
+    std::uint64_t seen = 0;
+    std::size_t bucket = 0;
+    while (bucket + 1 < bucket_count) {
+        seen += buckets_[bucket];
+        if (seen >= target)
+            break;
+        ++bucket;
+    }
+    return std::ldexp(1.0, static_cast<int>(bucket) - 4);
 }
 
 MetricsRegistry::MetricsRegistry(TraceClock *clock)
@@ -111,6 +145,13 @@ std::string
 MetricsRegistry::toJson() const
 {
     JsonWriter json;
+    writeJson(json);
+    return json.str();
+}
+
+void
+MetricsRegistry::writeJson(JsonWriter &json) const
+{
     json.beginObject();
 
     json.key("counters");
@@ -144,12 +185,15 @@ MetricsRegistry::toJson() const
         json.value(data.minMs);
         json.key("maxMs");
         json.value(data.maxMs);
+        json.key("p50Ms");
+        json.value(data.p50Ms);
+        json.key("p99Ms");
+        json.value(data.p99Ms);
         json.endObject();
     }
     json.endObject();
 
     json.endObject();
-    return json.str();
 }
 
 namespace {
@@ -327,6 +371,21 @@ struct MetricsParser
     }
 };
 
+/**
+ * A count read back from its JSON number. Only a whole number in
+ * [0, 2^64) converts to uint64 with defined behaviour; anything else
+ * is a ParseError naming `what`.
+ */
+StatusOr<std::uint64_t>
+countFrom(double value, const std::string &what)
+{
+    if (!(value >= 0.0 && value < 0x1p64 && value == std::floor(value)))
+        return Status::parseError(format(
+            "metrics json: %s is not a whole number in [0, 2^64): %g",
+            what.c_str(), value));
+    return static_cast<std::uint64_t>(value);
+}
+
 } // namespace
 
 StatusOr<MetricsSnapshot>
@@ -387,9 +446,12 @@ parseMetricsJson(const std::string &text)
                 auto value = parser.parseNumber();
                 if (!value.ok())
                     return value.status();
-                snapshot.counters.emplace_back(
-                    name.value(),
-                    static_cast<std::uint64_t>(value.value()));
+                auto count = countFrom(value.value(),
+                                       "counter '" + name.value() + "'");
+                if (!count.ok())
+                    return count.status();
+                snapshot.counters.emplace_back(name.value(),
+                                               count.value());
             } else if (section.value() == "gauges") {
                 auto value = parser.parseNumber();
                 if (!value.ok())
@@ -401,6 +463,7 @@ parseMetricsJson(const std::string &text)
                 if (!status.ok())
                     return status;
                 DurationHistogram::Snapshot data;
+                double count = 0.0;
                 bool first_field = true;
                 while (!parser.tryConsume('}')) {
                     if (!first_field) {
@@ -419,19 +482,27 @@ parseMetricsJson(const std::string &text)
                     if (!value.ok())
                         return value.status();
                     if (field.value() == "count")
-                        data.count = static_cast<std::uint64_t>(
-                            value.value());
+                        count = value.value();
                     else if (field.value() == "totalMs")
                         data.totalMs = value.value();
                     else if (field.value() == "minMs")
                         data.minMs = value.value();
                     else if (field.value() == "maxMs")
                         data.maxMs = value.value();
+                    else if (field.value() == "p50Ms")
+                        data.p50Ms = value.value();
+                    else if (field.value() == "p99Ms")
+                        data.p99Ms = value.value();
                     else if (field.value() != "meanMs")
                         return Status::parseError(
                             "metrics json: unknown histogram field '" +
                             field.value() + "'");
                 }
+                auto checked = countFrom(
+                    count, "histogram '" + name.value() + "' count");
+                if (!checked.ok())
+                    return checked.status();
+                data.count = checked.value();
                 snapshot.histograms.emplace_back(name.value(), data);
             } else {
                 return Status::parseError(

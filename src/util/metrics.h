@@ -14,12 +14,15 @@
  * Collection is off by default: the `count`/`gaugeSet`/`recordDuration`
  * helpers reduce to one relaxed atomic load and a branch when no
  * registry is installed (same posture as util/trace.h), so instrumented
- * hot paths cost nothing measurable when metrics are disabled.
+ * hot paths cost nothing measurable when metrics are disabled. The
+ * serve daemon is the exception: its registry is its only record of
+ * what it answered, so `cminer serve` always installs one.
  */
 
 #ifndef CMINER_UTIL_METRICS_H
 #define CMINER_UTIL_METRICS_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -32,6 +35,8 @@
 #include "util/trace.h"
 
 namespace cminer::util {
+
+class JsonWriter;
 
 /** Monotonic counter; add() is lock-free. */
 class Counter
@@ -74,9 +79,13 @@ class Gauge
 };
 
 /**
- * Duration histogram summary: count / total / min / max in
- * milliseconds. record() takes the histogram's own mutex — durations
- * are recorded at task granularity, far off any per-element hot loop.
+ * Duration histogram: count, total, min and max in milliseconds, plus
+ * 28 power-of-two buckets whose upper edges run 2^(i-4) ms from 1/16
+ * ms up. A negative duration lands in bucket 0, and a percentile is
+ * the upper edge of the bucket holding the quantile: a deterministic
+ * upper bound. record() takes the histogram's own mutex — durations
+ * are recorded at task or request granularity, far off any
+ * per-element hot loop.
  */
 class DurationHistogram
 {
@@ -88,6 +97,10 @@ class DurationHistogram
         double totalMs = 0.0;
         double minMs = 0.0;
         double maxMs = 0.0;
+        /** Upper bucket edge of the median; 0 when empty. */
+        double p50Ms = 0.0;
+        /** Upper bucket edge of the 99th percentile; 0 when empty. */
+        double p99Ms = 0.0;
 
         double
         meanMs() const
@@ -100,9 +113,17 @@ class DurationHistogram
     void record(double ms);
     Snapshot snapshot() const;
 
+    /** Upper edge of the bucket holding the q-quantile (q in (0,1]). */
+    double percentile(double q) const;
+
   private:
+    static constexpr std::size_t bucket_count = 28;
+
+    double percentileLocked(double q) const;
+
     mutable std::mutex mutex_;
     Snapshot data_;
+    std::array<std::uint64_t, bucket_count> buckets_{};
 };
 
 /**
@@ -140,9 +161,13 @@ class MetricsRegistry
     /**
      * All metrics as one JSON object:
      * {"counters": {...}, "gauges": {...}, "histograms": {name:
-     * {"count": n, "totalMs": t, "meanMs": m, "minMs": a, "maxMs": b}}}
+     * {"count": n, "totalMs": t, "meanMs": m, "minMs": a, "maxMs": b,
+     * "p50Ms": p, "p99Ms": q}}}
      */
     std::string toJson() const;
+
+    /** Write the toJson() document as the next value of `json`. */
+    void writeJson(JsonWriter &json) const;
 
   private:
     TraceClock *clock_;
@@ -212,7 +237,8 @@ void recordDuration(const char *name, double ms);
 /**
  * A metrics file read back for `cminer stats`. Parses exactly the
  * format MetricsRegistry::toJson emits (flat name -> scalar maps plus
- * per-histogram summary objects).
+ * per-histogram summary objects); a file without the percentile
+ * fields reads them as 0.
  */
 struct MetricsSnapshot
 {
@@ -223,7 +249,8 @@ struct MetricsSnapshot
 };
 
 /**
- * Parse a MetricsRegistry::toJson document.
+ * Parse a MetricsRegistry::toJson document. Counter values and
+ * histogram counts must be whole numbers in [0, 2^64).
  *
  * @return the snapshot, or a ParseError Status naming what broke
  */

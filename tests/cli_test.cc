@@ -565,6 +565,23 @@ TEST(Cli, PathsThatAreNotRegularFilesAreCleanErrors)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Cli, StatsRejectsCountsThatAreNotWholeNumbers)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "cli_bad_counts.json")
+            .string();
+    {
+        std::ofstream out(path);
+        out << "{\"counters\":{\"x\":-1,\"y\":1e300,\"z\":2.5},"
+               "\"gauges\":{},\"histograms\":{}}\n";
+    }
+    std::string output;
+    EXPECT_EQ(cli::run({"stats", path}, output), 1);
+    EXPECT_NE(output.find("error:"), std::string::npos) << output;
+    EXPECT_NE(output.find("counter 'x'"), std::string::npos) << output;
+    std::filesystem::remove(path);
+}
+
 TEST(Cli, CleanMissingFileFails)
 {
     std::string output;

@@ -1,18 +1,17 @@
 /**
  * @file
- * Tests for the GWP-style fleet simulator and the series statistics
- * (autocorrelation, two-sample KS test) added for fleet analysis.
+ * Tests for the series statistics added for fleet analysis:
+ * autocorrelation, the two-sample KS test and Spearman's rank
+ * correlation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
+#include <vector>
 
 #include "stats/series_stats.h"
 #include "util/rng.h"
-#include "workload/fleet.h"
-#include "workload/suites.h"
 
 namespace {
 
@@ -138,89 +137,6 @@ TEST(Spearman, IndependentSamplesNearZero)
         y[i] = rng.gaussian();
     }
     EXPECT_NEAR(stats::spearman(x, y), 0.0, 0.06);
-}
-
-// --- fleet -----------------------------------------------------------------
-
-TEST(Fleet, SampleCycleRespectsConfig)
-{
-    const auto &suite = workload::BenchmarkSuite::instance();
-    workload::FleetConfig config;
-    config.serverCount = 40;
-    config.machineSampleFraction = 0.25;
-    config.windowIntervals = 64;
-    config.colocationProbability = 0.0;
-    const workload::Fleet fleet(suite, config);
-
-    Rng rng(6);
-    const auto samples = fleet.sampleCycle(rng);
-    EXPECT_EQ(samples.size(), 10u); // 25% of 40
-    std::set<std::size_t> servers;
-    for (const auto &sample : samples) {
-        EXPECT_LT(sample.serverId, 40u);
-        servers.insert(sample.serverId);
-        EXPECT_EQ(sample.window.intervalCount(), 64u);
-        EXPECT_EQ(sample.window.eventCount(), 229u);
-        EXPECT_TRUE(suite.has(sample.program));
-        // The window carries live data.
-        double ipc_total = 0.0;
-        for (std::size_t t = 0; t < sample.window.intervalCount(); ++t)
-            ipc_total += sample.window.ipc(t);
-        EXPECT_GT(ipc_total, 0.0);
-    }
-    // Machines are sampled without replacement.
-    EXPECT_EQ(servers.size(), samples.size());
-}
-
-TEST(Fleet, ColocationProbabilityProducesPairs)
-{
-    const auto &suite = workload::BenchmarkSuite::instance();
-    workload::FleetConfig config;
-    config.serverCount = 16;
-    config.machineSampleFraction = 1.0;
-    config.windowIntervals = 32;
-    config.colocationProbability = 1.0;
-    const workload::Fleet fleet(suite, config);
-    Rng rng(7);
-    const auto samples = fleet.sampleCycle(rng);
-    for (const auto &sample : samples) {
-        EXPECT_NE(sample.program.find('+'), std::string::npos)
-            << sample.program;
-    }
-}
-
-TEST(Fleet, JobMixCountsAndSorts)
-{
-    std::vector<workload::FleetSample> samples(5);
-    samples[0].program = "a";
-    samples[1].program = "b";
-    samples[2].program = "a";
-    samples[3].program = "a";
-    samples[4].program = "b";
-    const auto mix = workload::Fleet::jobMix(samples);
-    ASSERT_EQ(mix.size(), 2u);
-    EXPECT_EQ(mix[0].first, "a");
-    EXPECT_EQ(mix[0].second, 3u);
-    EXPECT_EQ(mix[1].second, 2u);
-}
-
-TEST(Fleet, CoverageAcrossCycles)
-{
-    // Enough cycles should touch most of the benchmark population.
-    const auto &suite = workload::BenchmarkSuite::instance();
-    workload::FleetConfig config;
-    config.serverCount = 32;
-    config.machineSampleFraction = 0.5;
-    config.windowIntervals = 16;
-    config.colocationProbability = 0.0;
-    const workload::Fleet fleet(suite, config);
-    Rng rng(8);
-    std::set<std::string> seen;
-    for (int cycle = 0; cycle < 8; ++cycle) {
-        for (const auto &sample : fleet.sampleCycle(rng))
-            seen.insert(sample.program);
-    }
-    EXPECT_GE(seen.size(), 12u) << "job mix too narrow";
 }
 
 } // namespace

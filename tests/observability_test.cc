@@ -2,7 +2,8 @@
  * @file
  * Tests for the observability layer: span trees under a ManualClock,
  * the zero-overhead disabled path, the metrics registry (exact totals
- * under thread-pool fan-out — run under CMINER_SANITIZE=thread),
+ * under thread-pool fan-out — run under CMINER_SANITIZE=thread;
+ * duration-histogram buckets and percentiles; strict read-back),
  * reconciliation of exported counters against IngestReport and
  * SeriesCleanReport totals, and the CLI export surface
  * (--trace-out/--metrics-out plus the `stats` subcommand).
@@ -334,6 +335,104 @@ TEST(Metrics, CountersGaugesHistogramsRoundTripThroughJson)
     EXPECT_DOUBLE_EQ(histogram.minMs, 2.0);
     EXPECT_DOUBLE_EQ(histogram.maxMs, 6.0);
     EXPECT_DOUBLE_EQ(histogram.meanMs(), 4.0);
+    // Percentiles are bucket upper edges: 2 ms is an edge, 6 ms sits
+    // in the bucket up to 8 ms.
+    EXPECT_EQ(histogram.p50Ms, 2.0);
+    EXPECT_EQ(histogram.p99Ms, 8.0);
+}
+
+TEST(Metrics, FilesWithoutPercentilesStillParse)
+{
+    // The layout metrics files had before histograms carried
+    // percentiles: they read back as 0.
+    auto parsed = util::parseMetricsJson(
+        "{\"counters\":{\"serve.requests_ok\":7},\"gauges\":{},"
+        "\"histograms\":{\"serve.latency_ms\":{\"count\":2,"
+        "\"totalMs\":0.5,\"meanMs\":0.25,\"minMs\":0.125,"
+        "\"maxMs\":0.375}}}");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    const auto snapshot = std::move(parsed).value();
+    ASSERT_EQ(snapshot.histograms.size(), 1u);
+    const auto &histogram = snapshot.histograms[0].second;
+    EXPECT_EQ(histogram.count, 2u);
+    EXPECT_EQ(histogram.maxMs, 0.375);
+    EXPECT_EQ(histogram.p50Ms, 0.0);
+    EXPECT_EQ(histogram.p99Ms, 0.0);
+}
+
+TEST(Metrics, ParseRejectsCountsThatAreNotWholeNumbers)
+{
+    // A count converts to uint64 only from a whole number in
+    // [0, 2^64); -1 and 1e300 would be undefined casts, 2.5 a silent
+    // truncation.
+    for (const std::string bad : {"-1", "1e300", "2.5"}) {
+        auto parsed = util::parseMetricsJson(
+            "{\"counters\":{\"x\":" + bad +
+            "},\"gauges\":{},\"histograms\":{}}");
+        ASSERT_FALSE(parsed.ok()) << bad;
+        EXPECT_EQ(parsed.status().code(), util::StatusCode::ParseError);
+        EXPECT_NE(parsed.status().message().find("counter 'x'"),
+                  std::string::npos)
+            << parsed.status().message();
+    }
+    auto histogram = util::parseMetricsJson(
+        "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h_ms\":"
+        "{\"count\":-3,\"totalMs\":0,\"minMs\":0,\"maxMs\":0}}}");
+    ASSERT_FALSE(histogram.ok());
+    EXPECT_EQ(histogram.status().code(), util::StatusCode::ParseError);
+    EXPECT_NE(histogram.status().message().find("histogram 'h_ms' count"),
+              std::string::npos)
+        << histogram.status().message();
+
+    auto largest = util::parseMetricsJson(
+        "{\"counters\":{\"x\":9007199254740992},\"gauges\":{},"
+        "\"histograms\":{}}");
+    ASSERT_TRUE(largest.ok()) << largest.status().toString();
+    EXPECT_EQ(largest.value().counters[0].second, 9007199254740992u);
+}
+
+// --- duration histogram buckets -----------------------------------------
+
+TEST(ServeLatency, PercentilesAreMonotoneUpperBounds)
+{
+    util::DurationHistogram histogram;
+    EXPECT_EQ(histogram.percentile(0.99), 0.0);
+    for (int i = 0; i < 99; ++i)
+        histogram.record(0.05);
+    histogram.record(100.0);
+    const auto snapshot = histogram.snapshot();
+    EXPECT_EQ(snapshot.count, 100u);
+    EXPECT_EQ(snapshot.maxMs, 100.0);
+    const double p50 = snapshot.p50Ms;
+    const double p99 = snapshot.p99Ms;
+    EXPECT_GE(p50, 0.05);
+    EXPECT_LE(p50, 0.0625);
+    EXPECT_LE(p99, 128.0);
+    EXPECT_GE(p99, p50);
+    EXPECT_GE(histogram.percentile(1.0), 100.0 / 2.0);
+}
+
+TEST(Metrics, HistogramBucketsDoubleFromOneSixteenthMs)
+{
+    const auto only = [](double ms) {
+        util::DurationHistogram histogram;
+        histogram.record(ms);
+        return histogram.percentile(1.0);
+    };
+    // A negative duration lands in bucket 0, as does its upper edge.
+    EXPECT_EQ(only(-4.0), 0.0625);
+    EXPECT_EQ(only(0.0), 0.0625);
+    EXPECT_EQ(only(0.0625), 0.0625);
+    EXPECT_EQ(only(0.07), 0.125);
+    EXPECT_EQ(only(1.0), 1.0);
+    EXPECT_EQ(only(1.5), 2.0);
+    // 28 buckets: the last one, up to 2^23 ms, takes everything above.
+    EXPECT_EQ(only(std::ldexp(1.0, 23)), std::ldexp(1.0, 23));
+    EXPECT_EQ(only(1e12), std::ldexp(1.0, 23));
+
+    util::DurationHistogram negative;
+    negative.record(-4.0);
+    EXPECT_EQ(negative.snapshot().minMs, -4.0);
 }
 
 TEST(Metrics, EmptyRegistryRoundTrips)

@@ -206,31 +206,16 @@ toyPredict(std::uint64_t id, double seed_value,
     return request;
 }
 
-/** Installs a metrics registry for one test scope. */
+/**
+ * Installs a metrics registry for one test scope. Declare it before
+ * the Server, so that the registry outlives the server's counts.
+ */
 struct MetricsGuard
 {
     MetricsGuard() { util::setGlobalMetrics(&registry); }
     ~MetricsGuard() { util::setGlobalMetrics(nullptr); }
     util::MetricsRegistry registry;
 };
-
-std::uint64_t
-counterValue(util::MetricsRegistry &registry, const std::string &name)
-{
-    for (const auto &[n, v] : registry.counters())
-        if (n == name)
-            return v;
-    return 0;
-}
-
-double
-gaugeValue(util::MetricsRegistry &registry, const std::string &name)
-{
-    for (const auto &[n, v] : registry.gauges())
-        if (n == name)
-            return v;
-    return -1.0;
-}
 
 // --- protocol round-trips ------------------------------------------------
 
@@ -568,26 +553,6 @@ TEST(ServeDeadline, ExpiresExactlyOnTheManualClock)
               std::string::npos);
 }
 
-// --- latency histogram ---------------------------------------------------
-
-TEST(ServeLatency, PercentilesAreMonotoneUpperBounds)
-{
-    serve::LatencyHistogram histogram;
-    EXPECT_EQ(histogram.percentile(0.99), 0.0);
-    for (int i = 0; i < 99; ++i)
-        histogram.record(0.05);
-    histogram.record(100.0);
-    EXPECT_EQ(histogram.count(), 100u);
-    EXPECT_EQ(histogram.maxMs(), 100.0);
-    const double p50 = histogram.percentile(0.50);
-    const double p99 = histogram.percentile(0.99);
-    EXPECT_GE(p50, 0.05);
-    EXPECT_LE(p50, 0.0625);
-    EXPECT_LE(p99, 128.0);
-    EXPECT_GE(p99, p50);
-    EXPECT_GE(histogram.percentile(1.0), 100.0 / 2.0);
-}
-
 // --- server: predict pipeline -------------------------------------------
 
 TEST(ServeServer, PredictRoundTripMatchesDirectModelCall)
@@ -596,6 +561,7 @@ TEST(ServeServer, PredictRoundTripMatchesDirectModelCall)
     const auto expected =
         artifact.model.predict({105.0, 55.0, 15.0});
 
+    MetricsGuard metrics;
     serve::ServerOptions options;
     options.startBatcher = false;
     serve::Server server(options);
@@ -622,15 +588,16 @@ TEST(ServeServer, PredictRoundTripMatchesDirectModelCall)
     ASSERT_EQ(response.predictions.size(), 1u);
     EXPECT_EQ(response.predictions[0], expected);
 
-    const auto counts = server.counters();
-    EXPECT_EQ(counts.admitted, 1u);
-    EXPECT_EQ(counts.completed, 1u);
-    EXPECT_EQ(counts.batches, 1u);
-    EXPECT_EQ(counts.rowsScored, 1u);
+    auto &registry = metrics.registry;
+    EXPECT_EQ(registry.counter("serve.requests_admitted").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.requests_ok").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.batches").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.rows_scored").value(), 1u);
 }
 
 TEST(ServeServer, RejectsUnknownModelAndEventMismatch)
 {
+    MetricsGuard metrics;
     serve::ServerOptions options;
     options.startBatcher = false;
     serve::Server server(options);
@@ -659,7 +626,8 @@ TEST(ServeServer, RejectsUnknownModelAndEventMismatch)
     EXPECT_NE(responses.at(2).message.find("event list mismatch"),
               std::string::npos);
     EXPECT_EQ(server.queueDepth(), 0u);
-    EXPECT_EQ(server.counters().failed, 2u);
+    EXPECT_EQ(metrics.registry.counter("serve.requests_failed").value(),
+              2u);
 }
 
 TEST(ServeServer, LoadErrorsNameTheArtifactPathOnce)
@@ -696,6 +664,7 @@ TEST(ServeServer, LoadErrorsNameTheArtifactPathOnce)
 
 TEST(ServeServer, UndecodableFrameStillGetsExactlyOneResponse)
 {
+    MetricsGuard metrics;
     serve::ServerOptions options;
     options.startBatcher = false;
     serve::Server server(options);
@@ -710,7 +679,7 @@ TEST(ServeServer, UndecodableFrameStillGetsExactlyOneResponse)
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().type, serve::MessageType::Unknown);
     EXPECT_NE(decoded.value().code, util::StatusCode::Ok);
-    EXPECT_EQ(server.counters().decodeErrors, 1u);
+    EXPECT_EQ(metrics.registry.counter("serve.decode_errors").value(), 1u);
 }
 
 TEST(ServeServer, OverloadShedsExactlyAndGaugeReconciles)
@@ -739,26 +708,20 @@ TEST(ServeServer, OverloadShedsExactlyAndGaugeReconciles)
 
     // Exactly the first `cap` requests were admitted; the remaining
     // 3*cap were shed immediately with CapacityError.
+    auto &registry = metrics.registry;
     EXPECT_EQ(server.queueDepth(), cap);
-    {
-        const auto counts = server.counters();
-        EXPECT_EQ(counts.admitted, cap);
-        EXPECT_EQ(counts.shed, burst - cap);
-    }
-    EXPECT_EQ(gaugeValue(metrics.registry, "serve.queue_depth"),
+    EXPECT_EQ(registry.gauge("serve.queue_depth").value(),
               static_cast<double>(cap));
-    EXPECT_EQ(counterValue(metrics.registry, "serve.requests_shed"),
+    EXPECT_EQ(registry.counter("serve.requests_shed").value(),
               burst - cap);
-    EXPECT_EQ(counterValue(metrics.registry,
-                           "serve.requests_admitted"),
-              cap);
+    EXPECT_EQ(registry.counter("serve.requests_admitted").value(), cap);
 
     // Drain the admitted backlog; every admitted request succeeds.
     std::size_t drained = 0;
     while (std::size_t n = server.runBatchOnce())
         drained += n;
     EXPECT_EQ(drained, cap);
-    EXPECT_EQ(gaugeValue(metrics.registry, "serve.queue_depth"), 0.0);
+    EXPECT_EQ(registry.gauge("serve.queue_depth").value(), 0.0);
 
     const auto responses = decodeAll(sink);
     ASSERT_EQ(responses.size(), burst);
@@ -776,9 +739,139 @@ TEST(ServeServer, OverloadShedsExactlyAndGaugeReconciles)
     EXPECT_EQ(ok, cap);
     EXPECT_EQ(shed, burst - cap);
 
-    const auto counts = server.counters();
-    EXPECT_EQ(counts.completed, cap);
-    EXPECT_EQ(counts.admitted + counts.shed, burst);
+    EXPECT_EQ(registry.counter("serve.requests_ok").value(), cap);
+    EXPECT_EQ(registry.counter("serve.requests_admitted").value() +
+                  registry.counter("serve.requests_shed").value(),
+              burst);
+}
+
+TEST(ServeServer, RegistryTotalsEqualTheResponses)
+{
+    // One mixed stream through one server, then every serve.* count
+    // against a tally of the responses it sent.
+    MetricsGuard metrics;
+    util::ManualClock clock;
+    constexpr std::size_t cap = 8;
+    serve::ServerOptions options;
+    options.startBatcher = false;
+    options.clock = &clock;
+    options.queueCap = cap;
+    serve::Server server(options);
+    const auto artifact = toyArtifact();
+    server.registerModel("toy", toyArtifact());
+
+    CollectFrameSink sink;
+    std::size_t frames = 0;
+    const auto submit = [&](std::string payload) {
+        ++frames;
+        server.submitFrame(std::move(payload), [&sink](std::string r) {
+            (void)sink.write(r);
+        });
+    };
+    const auto predict = [&](serve::PredictRequest request) {
+        submit(serve::encodeRequest(serve::Request(std::move(request))));
+    };
+    std::uint64_t id = 0;
+
+    // Ok predicts of 1 to 16 rows.
+    for (const std::size_t rows : {1u, 5u, 11u, 16u}) {
+        auto request = toyPredict(++id, 0.0, artifact);
+        request.rowCount = rows;
+        request.values.clear();
+        for (std::size_t r = 0; r < rows; ++r)
+            for (const double base : {100.0, 50.0, 10.0})
+                request.values.push_back(base + static_cast<double>(r));
+        predict(std::move(request));
+    }
+    while (server.runBatchOnce() > 0) {
+    }
+
+    // A burst past the queue cap, and a mine refused under its
+    // pressure.
+    for (std::size_t i = 0; i < cap + 3; ++i)
+        predict(toyPredict(++id, static_cast<double>(i), artifact));
+    serve::MineRequest mine;
+    mine.id = ++id;
+    mine.benchmark = "sort";
+    submit(serve::encodeRequest(serve::Request(mine)));
+    while (server.runBatchOnce() > 0) {
+    }
+
+    // An undecodable frame, an unknown model, an event-list mismatch.
+    submit("\x01garbage");
+    auto unknown = toyPredict(++id, 1.0, artifact);
+    unknown.model = "nope";
+    predict(unknown);
+    auto mismatch = toyPredict(++id, 1.0, artifact);
+    mismatch.events = {"CYC", "LLC", "INS"};
+    predict(mismatch);
+
+    // A predict whose deadline expires while it is queued.
+    predict(toyPredict(++id, 2.0, artifact, 10.0));
+    clock.advance(20.0);
+    while (server.runBatchOnce() > 0) {
+    }
+
+    submit(serve::encodeRequest(
+        serve::Request(serve::StatsRequest{++id})));
+
+    std::map<std::string, std::uint64_t> tally;
+    std::uint64_t rows_ok = 0;
+    ASSERT_EQ(sink.payloads.size(), frames);
+    for (const auto &payload : sink.payloads) {
+        auto decoded = serve::decodeResponse(payload);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+        const serve::Response &response = decoded.value();
+        const bool is_predict =
+            response.type == serve::MessageType::Predict;
+        switch (response.code) {
+          case util::StatusCode::Ok:
+            if (is_predict) {
+                ++tally["serve.requests_ok"];
+                rows_ok += response.predictions.size();
+            }
+            break;
+          case util::StatusCode::DeadlineExceeded:
+            ++tally["serve.deadline_missed"];
+            break;
+          case util::StatusCode::CapacityError:
+            ++tally[response.type == serve::MessageType::Mine
+                        ? "serve.mines_refused"
+                        : "serve.requests_shed"];
+            break;
+          default:
+            ++tally["serve.requests_failed"];
+            break;
+        }
+        if (response.type == serve::MessageType::Unknown)
+            ++tally["serve.decode_errors"];
+    }
+    // Every predict that reached the queue was answered Ok or, in it,
+    // DeadlineExceeded.
+    tally["serve.requests_admitted"] =
+        tally["serve.requests_ok"] + tally["serve.deadline_missed"];
+
+    // The stream reached every outcome it was built to reach.
+    EXPECT_EQ(tally["serve.requests_ok"], 4u + cap);
+    EXPECT_EQ(tally["serve.requests_shed"], 3u);
+    EXPECT_EQ(tally["serve.mines_refused"], 1u);
+    EXPECT_EQ(tally["serve.deadline_missed"], 1u);
+    EXPECT_EQ(tally["serve.requests_failed"], 3u);
+    EXPECT_EQ(tally["serve.decode_errors"], 1u);
+
+    auto &registry = metrics.registry;
+    for (const auto &[name, expected] : tally)
+        EXPECT_EQ(registry.counter(name).value(), expected) << name;
+    EXPECT_EQ(registry.counter("serve.frames_decoded").value() +
+                  registry.counter("serve.decode_errors").value(),
+              frames);
+    EXPECT_EQ(registry.counter("serve.rows_scored").value(), rows_ok);
+    EXPECT_EQ(rows_ok, 1u + 5u + 11u + 16u + cap);
+    // Two rounds scored rows; the third held only the expired request.
+    EXPECT_EQ(registry.counter("serve.batches").value(), 2u);
+    EXPECT_EQ(registry.histogram("serve.latency_ms").snapshot().count,
+              tally["serve.requests_ok"]);
+    EXPECT_EQ(registry.gauge("serve.queue_depth").value(), 0.0);
 }
 
 TEST(ServeServer, BatchesGroupByArtifactSnapshotNotModelName)
@@ -883,6 +976,7 @@ TEST(ServeServer, ThrowingDeliveryDoesNotReRespondAnsweredRequests)
 
 TEST(ServeServer, QueuedRequestPastDeadlineReportsDeadlineExceeded)
 {
+    MetricsGuard metrics;
     util::ManualClock clock;
     serve::ServerOptions options;
     options.startBatcher = false;
@@ -918,9 +1012,9 @@ TEST(ServeServer, QueuedRequestPastDeadlineReportsDeadlineExceeded)
               std::string::npos);
     EXPECT_EQ(responses.at(2).code, util::StatusCode::Ok);
 
-    const auto counts = server.counters();
-    EXPECT_EQ(counts.deadlineMissed, 1u);
-    EXPECT_EQ(counts.completed, 1u);
+    EXPECT_EQ(metrics.registry.counter("serve.deadline_missed").value(),
+              1u);
+    EXPECT_EQ(metrics.registry.counter("serve.requests_ok").value(), 1u);
 }
 
 TEST(ServeServer, DefaultDeadlineAppliesToBudgetlessRequests)
@@ -994,6 +1088,7 @@ TEST(ServeServer, DrainFinishesAdmittedWorkAndRefusesNewWork)
 
 TEST(ServeServer, MiningRefusedUnderPressureWhilePredictsStillAdmitted)
 {
+    MetricsGuard metrics;
     serve::ServerOptions options;
     options.startBatcher = false;
     options.queueCap = 8;
@@ -1024,12 +1119,10 @@ TEST(ServeServer, MiningRefusedUnderPressureWhilePredictsStillAdmitted)
                            toyPredict(5, 5.0, artifact))),
                        collect);
     EXPECT_EQ(server.queueDepth(), 5u);
-    {
-        const auto counts = server.counters();
-        EXPECT_EQ(counts.minesRefused, 1u);
-        EXPECT_EQ(counts.shed, 0u);
-        EXPECT_EQ(counts.admitted, 5u);
-    }
+    auto &registry = metrics.registry;
+    EXPECT_EQ(registry.counter("serve.mines_refused").value(), 1u);
+    EXPECT_EQ(registry.counter("serve.requests_shed").value(), 0u);
+    EXPECT_EQ(registry.counter("serve.requests_admitted").value(), 5u);
 
     while (server.runBatchOnce() > 0) {
     }
@@ -1078,11 +1171,12 @@ TEST(ServeServer, StatsResponseCarriesTheDashboard)
                        });
     const auto responses = decodeAll(sink);
     ASSERT_EQ(responses.size(), 1u);
-    const auto &text = responses.at(1).text;
-    EXPECT_NE(text.find("\"queueDepth\""), std::string::npos);
-    EXPECT_NE(text.find("\"shed\""), std::string::npos);
-    EXPECT_NE(text.find("\"latencyMs\""), std::string::npos);
-    EXPECT_NE(text.find("\"toy\""), std::string::npos);
+    // With no registry installed the metrics part is the registry's
+    // document with every section empty.
+    EXPECT_EQ(responses.at(1).text,
+              "{\"serve\":{\"draining\":false,\"models\":[\"toy\"],"
+              "\"scorers\":[]},\"metrics\":{\"counters\":{},"
+              "\"gauges\":{},\"histograms\":{}}}");
 }
 
 // --- fault-injected transport -------------------------------------------
@@ -1299,6 +1393,7 @@ TEST(ServeLoadGen, PipelinedPredictsAreByteIdenticalToPredictCli)
 
     for (const std::size_t threads : {1u, 2u, 8u}) {
         util::Parallelism::setThreadCount(threads);
+        MetricsGuard metrics;
         serve::ServerOptions options;
         options.queueCap = 2048; // admit the whole burst
         options.maxBatchRows = 64;
@@ -1330,12 +1425,15 @@ TEST(ServeLoadGen, PipelinedPredictsAreByteIdenticalToPredictCli)
         }
         EXPECT_EQ(verified, request_count);
 
-        const auto counts = server.counters();
-        EXPECT_EQ(counts.admitted, request_count);
-        EXPECT_EQ(counts.completed, request_count);
-        EXPECT_EQ(counts.shed, 0u);
-        EXPECT_GE(counts.batches, 1u);
-        EXPECT_EQ(counts.rowsScored, request_count);
+        auto &registry = metrics.registry;
+        EXPECT_EQ(registry.counter("serve.requests_admitted").value(),
+                  request_count);
+        EXPECT_EQ(registry.counter("serve.requests_ok").value(),
+                  request_count);
+        EXPECT_EQ(registry.counter("serve.requests_shed").value(), 0u);
+        EXPECT_GE(registry.counter("serve.batches").value(), 1u);
+        EXPECT_EQ(registry.counter("serve.rows_scored").value(),
+                  request_count);
     }
     util::Parallelism::setThreadCount(1);
 }
@@ -1376,6 +1474,7 @@ TEST(ServeCli, FileModeServesFramesByteIdenticalToPredict)
 
     const std::string in_path = tmpPath("serve_cli_in.bin");
     const std::string out_path = tmpPath("serve_cli_out.bin");
+    const std::string metrics_path = tmpPath("serve_cli_metrics.json");
     {
         std::ofstream out(in_path, std::ios::binary);
         out.write(bytes.data(),
@@ -1385,11 +1484,15 @@ TEST(ServeCli, FileModeServesFramesByteIdenticalToPredict)
     std::string output;
     ASSERT_EQ(cli::run({"serve", "--model",
                         "sort=" + mined.model, "--in", in_path,
-                        "--out", out_path, "--threads", "1"},
+                        "--out", out_path, "--threads", "1",
+                        "--metrics-out", metrics_path},
                        output),
               0)
         << output;
-    EXPECT_NE(output.find("served 3 frames"), std::string::npos);
+    EXPECT_NE(output.find("served 3 frames: 1 ok, 0 shed"),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(util::globalMetrics(), nullptr);
 
     // Decode the response file: three frames, matched by id.
     const std::string response_bytes = readBytes(out_path);
@@ -1415,13 +1518,26 @@ TEST(ServeCli, FileModeServesFramesByteIdenticalToPredict)
         EXPECT_EQ(predict.predictions[r], mined.predictions[r])
             << "row " << r;
 
+    // The stats frame carries the daemon's registry. Admission is
+    // counted before the next frame is read; the predict's Ok may not
+    // be counted yet when the stats frame is answered.
     EXPECT_EQ(responses.at(2).code, util::StatusCode::Ok);
-    EXPECT_NE(responses.at(2).text.find("\"queueDepth\""),
-              std::string::npos);
+    EXPECT_NE(responses.at(2).text.find("\"serve.requests_admitted\":1"),
+              std::string::npos)
+        << responses.at(2).text;
     EXPECT_EQ(responses.at(3).type, serve::MessageType::Shutdown);
+
+    // `stats` on the daemon's --metrics-out file shows the latency
+    // percentiles.
+    std::string stats;
+    ASSERT_EQ(cli::run({"stats", metrics_path}, stats), 0) << stats;
+    EXPECT_NE(stats.find("p50 ms"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("p99 ms"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("serve.latency_ms"), std::string::npos) << stats;
 
     std::filesystem::remove(in_path);
     std::filesystem::remove(out_path);
+    std::filesystem::remove(metrics_path);
 }
 
 TEST(ServeCli, RequiresAModelAndATransport)
@@ -1450,6 +1566,7 @@ TEST(ServeSocket, ServesPredictStatsAndShutdownOverAfUnix)
     const auto expected =
         artifact.model.predict({103.0, 53.0, 13.0});
 
+    MetricsGuard metrics;
     serve::Server server;
     server.registerModel("toy", toyArtifact());
 
@@ -1494,8 +1611,12 @@ TEST(ServeSocket, ServesPredictStatsAndShutdownOverAfUnix)
         ASSERT_EQ(responses.at(1).code, util::StatusCode::Ok);
         ASSERT_EQ(responses.at(1).predictions.size(), 1u);
         EXPECT_EQ(responses.at(1).predictions[0], expected);
-        EXPECT_NE(responses.at(2).text.find("\"serve\""),
+        EXPECT_NE(responses.at(2).text.find("\"serve\":{"),
                   std::string::npos);
+        EXPECT_NE(responses.at(2).text.find(
+                      "\"serve.requests_admitted\":1"),
+                  std::string::npos)
+            << responses.at(2).text;
         EXPECT_EQ(responses.at(3).type, serve::MessageType::Shutdown);
     }
     ::close(fd);
