@@ -18,13 +18,16 @@ using cminer::ts::TimeSeries;
 DataCleaner::DataCleaner(CleanerOptions options)
     : options_(std::move(options))
 {
-    CM_ASSERT(options_.coverageTarget > 0.0 &&
-              options_.coverageTarget <= 1.0);
     CM_ASSERT(!options_.thresholdCandidates.empty());
     CM_ASSERT(options_.knnK >= 1);
 }
 
 namespace {
+
+/** Required fraction of data inside the outlier threshold. */
+constexpr double kCoverageTarget = 0.99;
+/** A zero is a true zero only when the series max stays below this. */
+constexpr double kTrueZeroMax = 0.01;
 
 /** The finite subset of a series — the only samples statistics trust. */
 std::vector<double>
@@ -53,8 +56,7 @@ DataCleaner::chooseThresholdN(std::span<const double> values) const
     const double sigma = stats::stddev(finite);
     for (double n : options_.thresholdCandidates) {
         const double threshold = mu + n * sigma;
-        if (stats::fractionWithin(finite, threshold) >=
-            options_.coverageTarget)
+        if (stats::fractionWithin(finite, threshold) >= kCoverageTarget)
             return n;
     }
     return options_.thresholdCandidates.back();
@@ -124,8 +126,7 @@ DataCleaner::fillMissing(std::span<double> values,
 
     // The paper's true-zero rule: when the series minimum is zero and
     // the maximum never exceeds 0.01, the zeros are genuine.
-    const bool zeros_are_real =
-        min_value <= 0.0 && max_value < options_.trueZeroMax;
+    const bool zeros_are_real = min_value <= 0.0 && max_value < kTrueZeroMax;
 
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (!std::isfinite(values[i])) {

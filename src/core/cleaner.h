@@ -35,15 +35,11 @@ namespace cminer::core {
 /** Cleaning policy knobs (defaults follow the paper). */
 struct CleanerOptions
 {
-    /** Required fraction of data inside the outlier threshold. */
-    double coverageTarget = 0.99;
     /** Candidate n values for Eq. 6, tried in order. */
     std::vector<double> thresholdCandidates = {3.0, 4.0, 5.0, 6.0, 7.0,
                                                8.0};
     /** KNN neighborhood for missing-value imputation. */
     std::size_t knnK = 5;
-    /** A zero is a true zero only when the series max stays below this. */
-    double trueZeroMax = 0.01;
     /** Stage toggles (for the ablation benches). */
     bool replaceOutliers = true;
     bool fillMissing = true;
@@ -92,8 +88,8 @@ class DataCleaner
     cleanAll(std::vector<cminer::ts::TimeSeries> &series) const;
 
     /**
-     * The smallest candidate n whose threshold keeps `coverageTarget` of
-     * the data inside (Table I); the largest candidate when none does.
+     * The smallest candidate n whose threshold keeps 99% of the data
+     * inside (Table I); the largest candidate when none does.
      */
     double chooseThresholdN(std::span<const double> values) const;
 

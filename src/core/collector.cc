@@ -71,8 +71,8 @@ DataCollector::DataCollector(
 Status
 DataCollector::withTransientRetry(const std::function<Status()> &attempt)
 {
-    const auto result = cminer::util::retryWithBackoff(
-        retryOptions_, retryClock_, retryRng_, attempt);
+    const auto result =
+        cminer::util::retryWithBackoff(retryOptions_, retryClock_, attempt);
     transientRetries_ += result.attempts - 1;
     cminer::util::count("collector.transient_retries",
                         result.attempts - 1);
@@ -234,21 +234,6 @@ DataCollector::collectMlpxFromTrace(const TrueTrace &trace,
         tryCollectMlpxFromTrace(trace, program, suite, events, rng);
     result.status().throwIfError();
     return std::move(result).value();
-}
-
-CollectedRun
-DataCollector::collectOcoeFromTrace(const TrueTrace &trace,
-                                    const std::string &program,
-                                    const std::string &suite,
-                                    const std::vector<EventId> &events,
-                                    Rng &rng)
-{
-    if (events.size() > backend_->config().programmableCounters) {
-        util::fatal("collector: OCOE run asked to measure more events "
-                    "than there are programmable counters");
-    }
-    auto series = backend_->measureOcoe(trace, events, rng);
-    return record(program, suite, "ocoe", trace, std::move(series), rng);
 }
 
 } // namespace cminer::core

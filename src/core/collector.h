@@ -192,14 +192,6 @@ class DataCollector
                                 &events,
                             cminer::util::Rng &rng);
 
-    /** OCOE-measure an externally produced trace. */
-    CollectedRun
-    collectOcoeFromTrace(const cminer::pmu::TrueTrace &trace,
-                         const std::string &program,
-                         const std::string &suite,
-                         const std::vector<cminer::pmu::EventId> &events,
-                         cminer::util::Rng &rng);
-
   private:
     cminer::util::StatusOr<CollectedRun>
     tryRecord(const std::string &program, const std::string &suite,
@@ -224,7 +216,6 @@ class DataCollector
     cminer::util::FaultInjector *injector_ = nullptr;
     cminer::util::RetryOptions retryOptions_;
     cminer::util::RecordingClock retryClock_;
-    cminer::util::Rng retryRng_{0xC011EC7ULL};
     std::size_t transientRetries_ = 0;
 };
 

@@ -17,12 +17,20 @@ using cminer::ml::FeatureImportance;
 using cminer::ml::Gbrt;
 using cminer::util::Rng;
 
+namespace {
+
+/**
+ * Train fraction of the single-split protocol: the paper evaluates on
+ * m/4 unseen examples, a test fraction of 0.2.
+ */
+constexpr double kTrainFraction = 0.8;
+
+} // namespace
+
 ImportanceRanker::ImportanceRanker(ImportanceOptions options)
     : options_(std::move(options))
 {
     CM_ASSERT(options_.dropPerIteration >= 1);
-    CM_ASSERT(options_.trainFraction > 0.0 &&
-              options_.trainFraction < 1.0);
     CM_ASSERT(options_.cvFolds >= 1);
 }
 
@@ -122,8 +130,7 @@ std::pair<std::vector<FeatureImportance>, double>
 ImportanceRanker::fitOnce(const DatasetView &data, Rng &rng) const
 {
     if (options_.cvFolds <= 1) {
-        auto split =
-            ml::trainTestSplit(data, options_.trainFraction, rng);
+        auto split = ml::trainTestSplit(data, kTrainFraction, rng);
         Gbrt model(options_.gbrt);
         model.fit(split.train, rng);
         const auto predicted = model.predictAll(split.test);
@@ -188,7 +195,6 @@ ImportanceRanker::run(const Dataset &data, Rng &rng) const
     ImportanceResult result;
     std::vector<std::string> features = data.featureNames();
     double best_error = -1.0;
-    std::size_t since_best = 0;
 
     // The whole refinement loop runs over views of one base dataset:
     // dropping events shrinks a column mask, nothing is re-copied.
@@ -208,18 +214,12 @@ ImportanceRanker::run(const Dataset &data, Rng &rng) const
         result.curve.push_back({features.size(), error});
         if (best_error < 0.0 || error < best_error) {
             best_error = error;
-            since_best = 0;
             result.ranking = ranking;
             result.mapmErrorPercent = error;
             result.mapmEventCount = features.size();
             result.mapmFeatures = features;
-        } else {
-            ++since_best;
         }
 
-        if (options_.earlyStopPatience > 0 &&
-            since_best >= options_.earlyStopPatience)
-            break;
         if (features.size() <=
             options_.minEvents + options_.dropPerIteration)
             break;

@@ -32,8 +32,6 @@ struct ImportanceOptions
     std::size_t dropPerIteration = 10;
     /** Stop EIR once this few events remain. */
     std::size_t minEvents = 19;
-    /** Train fraction; the paper evaluates on m/4 unseen examples. */
-    double trainFraction = 0.8;
     /**
      * Cross-validation folds per EIR iteration. 1 (the paper's
      * protocol) trains a single model on one shuffled train/test split;
@@ -43,13 +41,6 @@ struct ImportanceOptions
      * fold order, so the result is bit-identical for any thread count.
      */
     std::size_t cvFolds = 1;
-    /**
-     * Early stop: end the loop after this many consecutive iterations
-     * without improving on the best error ("repeat several times until
-     * the MAPM is found"). 0 disables early stopping and the loop runs
-     * down to minEvents.
-     */
-    std::size_t earlyStopPatience = 0;
 };
 
 /** One point of the EIR error curve (paper Fig. 8). */

@@ -20,20 +20,6 @@ IngestReport::damaged() const
            duplicateSamples + nonFiniteCounts + truncatedLines;
 }
 
-void
-IngestReport::merge(const IngestReport &other)
-{
-    totalLines += other.totalLines;
-    parsedSamples += other.parsedSamples;
-    malformedLines += other.malformedLines;
-    badTimestamps += other.badTimestamps;
-    nonMonotonic += other.nonMonotonic;
-    duplicateSamples += other.duplicateSamples;
-    nonFiniteCounts += other.nonFiniteCounts;
-    truncatedLines += other.truncatedLines;
-    paddedSamples += other.paddedSamples;
-}
-
 std::string
 IngestReport::toString() const
 {

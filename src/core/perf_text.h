@@ -68,8 +68,6 @@ struct IngestReport
 
     /** Damage counters summed (everything except total/parsed/padded). */
     std::size_t damaged() const;
-    /** Add another report's counters into this one. */
-    void merge(const IngestReport &other);
     /** One-line summary, stable across runs for determinism checks. */
     std::string toString() const;
 };

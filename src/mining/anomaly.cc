@@ -308,6 +308,13 @@ AnomalyScorer::score(std::span<const double> values,
 
 namespace {
 
+/** Lower bound on the learned z threshold. */
+constexpr double kZThresholdFloor = 6.0;
+/** Learned z threshold = max(floor, margin * worst training z). */
+constexpr double kZMargin = 1.5;
+/** Signature threshold = margin * worst training distance. */
+constexpr double kSignatureMargin = 1.5;
+
 /**
  * One stored run's feature columns in model event order, read in place
  * from the snapshot, plus its measured IPC. Event names resolve through
@@ -405,8 +412,7 @@ AnomalyScorer::calibrate(
     std::shared_ptr<const cminer::core::MapmArtifact> model,
     ClusterArtifact clusters, const cminer::store::StoreSnapshot &snap,
     const std::vector<cminer::store::RunId> &ids,
-    const cminer::pmu::EventCatalog &catalog,
-    const CalibrationOptions &options)
+    const cminer::pmu::EventCatalog &catalog)
 {
     if (model == nullptr || !model->model.fitted())
         return Status::dataError(
@@ -457,11 +463,10 @@ AnomalyScorer::calibrate(
                          std::abs(r - clusters.residualMean) /
                              clusters.residualStddev);
     clusters.residualZThreshold =
-        std::max(options.zThresholdFloor, options.zMargin * max_z);
+        std::max(kZThresholdFloor, kZMargin * max_z);
     clusters.signatureThreshold =
-        medoids.empty()
-            ? 0.0
-            : std::max(options.signatureMargin * max_distance, 1e-9);
+        medoids.empty() ? 0.0
+                        : std::max(kSignatureMargin * max_distance, 1e-9);
     return AnomalyScorer(std::move(model), std::move(clusters));
 }
 

@@ -116,17 +116,6 @@ struct ScoreResult
     std::size_t dtwEvaluations = 0;
 };
 
-/** Calibration policy (thresholds learned from training runs). */
-struct CalibrationOptions
-{
-    /** Lower bound on the learned z threshold. */
-    double zThresholdFloor = 6.0;
-    /** Learned z threshold = max(floor, margin * worst training z). */
-    double zMargin = 1.5;
-    /** Signature threshold = margin * worst training distance. */
-    double signatureMargin = 1.5;
-};
-
 /**
  * Scores runs against one benchmark's MAPM + cluster artifact pair.
  * Immutable after construction; safe to share across threads.
@@ -183,8 +172,10 @@ class AnomalyScorer
     /**
      * Learn the thresholds from training runs: per-run residuals give
      * (mean, stddev, z threshold); nearest-medoid distances give the
-     * signature threshold. Returns the scorer with the calibration
-     * written back into its cluster artifact (ready to save).
+     * signature threshold. The z threshold is max(6, 1.5 x the worst
+     * training z) and the signature threshold 1.5 x the worst training
+     * distance. Returns the scorer with the calibration written back
+     * into its cluster artifact (ready to save).
      *
      * @param model the benchmark's MAPM
      * @param clusters families from the clustering pass (calibration
@@ -198,8 +189,7 @@ class AnomalyScorer
               ClusterArtifact clusters,
               const cminer::store::StoreSnapshot &snap,
               const std::vector<cminer::store::RunId> &ids,
-              const cminer::pmu::EventCatalog &catalog,
-              const CalibrationOptions &options = {});
+              const cminer::pmu::EventCatalog &catalog);
 
   private:
     /** Residual + signature verdict for one run's predictions. */

@@ -11,6 +11,9 @@ namespace cminer::mining {
 
 namespace {
 
+/** Upper bound on SWAP iterations (each strictly lowers cost). */
+constexpr std::size_t kMaxIterations = 64;
+
 /**
  * Assignment cost of a medoid set: per-item nearest medoid (ties break
  * by the lowest cluster slot) computed in parallel into per-item slots,
@@ -69,7 +72,7 @@ kMedoids(const std::vector<double> &matrix, std::size_t n,
     std::vector<bool> is_medoid(n, false);
     for (std::size_t m : result.medoids)
         is_medoid[m] = true;
-    for (std::size_t iter = 0; iter < options.maxIterations; ++iter) {
+    for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
         std::vector<std::pair<std::size_t, std::size_t>> candidates;
         candidates.reserve(k * (n - k));
         for (std::size_t s = 0; s < k; ++s)

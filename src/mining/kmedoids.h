@@ -32,8 +32,6 @@ struct KMedoidsOptions
 {
     /** Number of clusters (clamped to the item count). */
     std::size_t k = 2;
-    /** Upper bound on SWAP iterations (each strictly lowers cost). */
-    std::size_t maxIterations = 64;
 };
 
 /** Outcome of a PAM run. */
@@ -52,12 +50,12 @@ struct KMedoidsResult
 /**
  * Cluster `n` items into k medoids by PAM: seeded random init from
  * `rng`, then greedy best-improvement swaps until no swap lowers the
- * total cost (or maxIterations).
+ * total cost (or after 64 swaps, each of which strictly lowered it).
  *
  * @param matrix row-major n*n symmetric distance matrix with a zero
  *        diagonal (mining::dtwDistanceMatrix output)
  * @param n item count (matrix.size() == n*n)
- * @param options cluster count and iteration cap
+ * @param options cluster count
  * @param rng the run's own randomness stream (medoid init)
  */
 KMedoidsResult kMedoids(const std::vector<double> &matrix, std::size_t n,

@@ -17,6 +17,9 @@ namespace {
 /** Histogram slots per split scan: FeatureBinner caps bins at 255. */
 constexpr std::size_t kMaxHistogramBins = 256;
 
+/** Minimum squared-error reduction to accept a split. */
+constexpr double kMinImprovement = 1e-12;
+
 /** Winning (improvement, bin) of one candidate feature's split scan. */
 struct CandidateBest
 {
@@ -39,7 +42,7 @@ scanCandidate(const FeatureBinner &binner, std::size_t feature,
               double parent_score, const TreeParams &params)
 {
     CandidateBest best;
-    best.improvement = params.minImprovement;
+    best.improvement = kMinImprovement;
     const std::size_t bins = binner.binCount(feature);
     if (bins < 2)
         return best;
@@ -267,7 +270,7 @@ RegressionTree::grow(const DatasetView &data, const FeatureBinner &binner,
                                      rows, sum, parent_score, params_);
     }
 
-    double best_improvement = params_.minImprovement;
+    double best_improvement = kMinImprovement;
     std::size_t best_feature = 0;
     std::size_t best_bin = 0;
     bool found = false;

@@ -34,10 +34,6 @@ struct TreeParams
     std::size_t minSamplesLeaf = 5;
     /** Fraction of features examined per node, in (0, 1]. */
     double featureFraction = 1.0;
-    /** Minimum squared-error reduction to accept a split. */
-    double minImprovement = 1e-12;
-    /** Maximum histogram bins per feature. */
-    std::size_t maxBins = 32;
 };
 
 /**

@@ -17,6 +17,9 @@ namespace {
 /** Rows per chunk of the boosting update. */
 constexpr std::size_t kUpdateGrain = 512;
 
+/** Histogram bins per feature of the ensemble's shared binner. */
+constexpr std::size_t kBinsPerFeature = 32;
+
 /** Each view feature's base column, indexed by base row. */
 std::vector<const double *>
 baseColumns(const DatasetView &data)
@@ -55,7 +58,7 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
     featureNames_ = data.featureNames();
     trees_.clear();
 
-    const FeatureBinner binner(data, params_.tree.maxBins);
+    const FeatureBinner binner(data, kBinsPerFeature);
     binEdges_.assign(featureNames_.size(), {});
     for (std::size_t f = 0; f < featureNames_.size(); ++f) {
         binEdges_[f].reserve(binner.binCount(f));

@@ -35,9 +35,7 @@ struct GbrtParams
     double subsample = 0.4;
     TreeParams tree = {.maxDepth = 5,
                        .minSamplesLeaf = 3,
-                       .featureFraction = 0.25,
-                       .minImprovement = 1e-12,
-                       .maxBins = 32};
+                       .featureFraction = 0.25};
 };
 
 /** One entry of a normalized importance ranking. */

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stats/descriptive.h"
 #include "util/error.h"
 
 namespace cminer::ml {
@@ -36,25 +35,6 @@ rmse(std::span<const double> actual, std::span<const double> predicted)
         total += d * d;
     }
     return std::sqrt(total / static_cast<double>(actual.size()));
-}
-
-double
-r2(std::span<const double> actual, std::span<const double> predicted)
-{
-    CM_ASSERT(actual.size() == predicted.size());
-    CM_ASSERT(!actual.empty());
-    const double mu = stats::mean(actual);
-    double ss_res = 0.0;
-    double ss_tot = 0.0;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        const double res = actual[i] - predicted[i];
-        const double dev = actual[i] - mu;
-        ss_res += res * res;
-        ss_tot += dev * dev;
-    }
-    if (ss_tot <= 0.0)
-        return ss_res <= 0.0 ? 1.0 : 0.0;
-    return 1.0 - ss_res / ss_tot;
 }
 
 double

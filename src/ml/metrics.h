@@ -3,8 +3,8 @@
  * Regression quality metrics.
  *
  * The paper's model error (Eq. 14) is the mean absolute percentage error
- * between measured and predicted IPC; RMSE and R^2 are provided for the
- * tests and ablations.
+ * between measured and predicted IPC; RMSE is provided for the tests and
+ * ablations.
  */
 
 #ifndef CMINER_ML_METRICS_H
@@ -25,10 +25,6 @@ double mape(std::span<const double> actual,
 /** Root mean squared error. */
 double rmse(std::span<const double> actual,
             std::span<const double> predicted);
-
-/** Coefficient of determination. */
-double r2(std::span<const double> actual,
-          std::span<const double> predicted);
 
 /**
  * Residual variance per the interaction ranker (paper Eq. 12):

@@ -205,12 +205,6 @@ readCounter(const OpenCounter &counter, ReadSample &out)
 
 } // namespace
 
-bool
-LinuxPerfSampler::compiledIn()
-{
-    return true;
-}
-
 Status
 LinuxPerfSampler::probe()
 {
@@ -536,12 +530,6 @@ LinuxPerfSampler::measuredIpc(const TrueTrace &window, Rng &rng)
 struct LinuxPerfSampler::Impl
 {
 };
-
-bool
-LinuxPerfSampler::compiledIn()
-{
-    return false;
-}
 
 Status
 LinuxPerfSampler::probe()

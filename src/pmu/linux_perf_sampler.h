@@ -55,9 +55,6 @@ using LoadFn = std::function<std::uint64_t()>;
 class LinuxPerfSampler : public SamplerBackend
 {
   public:
-    /** True when the build has perf_event support compiled in. */
-    static bool compiledIn();
-
     /**
      * Runtime availability: Ok when a hardware counter can actually be
      * opened; otherwise a DataError naming the obstacle

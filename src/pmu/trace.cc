@@ -40,13 +40,6 @@ TrueTrace::eventRow(EventId event) const
     return counts_[event];
 }
 
-std::vector<double> &
-TrueTrace::mutableEventRow(EventId event)
-{
-    CM_ASSERT(event < counts_.size());
-    return counts_[event];
-}
-
 double
 TrueTrace::ipc(std::size_t interval) const
 {
@@ -60,13 +53,6 @@ TrueTrace::setIpc(std::size_t interval, double value)
     CM_ASSERT(interval < intervalCount_);
     CM_ASSERT(value >= 0.0);
     ipc_[interval] = value;
-}
-
-cminer::ts::TimeSeries
-TrueTrace::trueSeries(EventId event, const EventCatalog &catalog) const
-{
-    return cminer::ts::TimeSeries(catalog.info(event).name,
-                                  eventRow(event), intervalMs_);
 }
 
 } // namespace cminer::pmu

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "pmu/event.h"
-#include "ts/time_series.h"
 
 namespace cminer::pmu {
 
@@ -66,9 +65,6 @@ class TrueTrace
     /** Whole row for one event. */
     const std::vector<double> &eventRow(EventId event) const;
 
-    /** Mutable row for one event. */
-    std::vector<double> &mutableEventRow(EventId event);
-
     /** True IPC in interval t. */
     double ipc(std::size_t interval) const;
 
@@ -77,10 +73,6 @@ class TrueTrace
 
     /** Whole IPC row. */
     const std::vector<double> &ipcRow() const { return ipc_; }
-
-    /** The true (noise-free) series of one event as a TimeSeries. */
-    cminer::ts::TimeSeries trueSeries(EventId event,
-                                      const EventCatalog &catalog) const;
 
   private:
     std::size_t intervalCount_ = 0;

@@ -23,12 +23,6 @@ constexpr std::uint8_t max_wire_code =
 
 } // namespace
 
-std::uint64_t
-requestId(const Request &request)
-{
-    return std::visit([](const auto &r) { return r.id; }, request);
-}
-
 MessageType
 requestType(const Request &request)
 {
@@ -408,37 +402,6 @@ appendFrame(std::string &out, std::string_view payload)
     length.u32(static_cast<std::uint32_t>(payload.size()));
     out += length.finish();
     out.append(payload.data(), payload.size());
-    return util::Status::okStatus();
-}
-
-util::Status
-nextFrame(std::string_view bytes, std::size_t &pos, std::string &payload,
-          bool &eof)
-{
-    payload.clear();
-    eof = false;
-    if (pos >= bytes.size()) {
-        eof = true;
-        return util::Status::okStatus();
-    }
-    if (bytes.size() - pos < 4)
-        return util::Status::dataError(util::format(
-            "torn frame header at offset %zu: %zu of 4 length bytes",
-            pos, bytes.size() - pos));
-    const std::uint32_t length =
-        util::BinaryReader::rawView(bytes.substr(pos, 4)).u32();
-    // Validate the declared length against both the ceiling and the
-    // bytes actually present before touching payload storage.
-    if (length > max_frame_bytes)
-        return util::Status::dataError(util::format(
-            "frame at offset %zu declares %u bytes (max %zu)", pos,
-            length, max_frame_bytes));
-    if (bytes.size() - pos - 4 < length)
-        return util::Status::dataError(util::format(
-            "torn frame at offset %zu: %zu of %u payload bytes", pos,
-            bytes.size() - pos - 4, length));
-    payload.assign(bytes.data() + pos + 4, length);
-    pos += 4 + static_cast<std::size_t>(length);
     return util::Status::okStatus();
 }
 

@@ -143,9 +143,6 @@ using Request =
     std::variant<PredictRequest, StatsRequest, MineRequest,
                  ShutdownRequest, ScoreRequest>;
 
-/** The request's echoed id. */
-std::uint64_t requestId(const Request &request);
-
 /** The request's wire type. */
 MessageType requestType(const Request &request);
 
@@ -210,15 +207,6 @@ MessageType peekType(std::string_view payload);
  */
 cminer::util::Status appendFrame(std::string &out,
                                  std::string_view payload);
-
-/**
- * Extract the next frame from `bytes` starting at `pos`, advancing
- * `pos` past it. Sets `eof` (and returns Ok) at a clean end of input;
- * a partial header or torn payload is a DataError naming the offset,
- * and an oversized declared length is rejected before any copy.
- */
-cminer::util::Status nextFrame(std::string_view bytes, std::size_t &pos,
-                               std::string &payload, bool &eof);
 
 } // namespace cminer::serve
 

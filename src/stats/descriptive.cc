@@ -99,28 +99,6 @@ skewness(std::span<const double> values)
 }
 
 double
-excessKurtosis(std::span<const double> values)
-{
-    const std::size_t n = values.size();
-    if (n < 4)
-        return 0.0;
-    const double mu = mean(values);
-    double m2 = 0.0;
-    double m4 = 0.0;
-    for (double v : values) {
-        const double d = v - mu;
-        const double d2 = d * d;
-        m2 += d2;
-        m4 += d2 * d2;
-    }
-    m2 /= static_cast<double>(n);
-    m4 /= static_cast<double>(n);
-    if (m2 <= 0.0)
-        return 0.0;
-    return m4 / (m2 * m2) - 3.0;
-}
-
-double
 pearson(std::span<const double> x, std::span<const double> y)
 {
     CM_ASSERT(x.size() == y.size());

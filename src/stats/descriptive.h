@@ -50,9 +50,6 @@ double quantile(std::span<const double> values, double q);
 /** Sample skewness (adjusted Fisher-Pearson). 0 for n < 3. */
 double skewness(std::span<const double> values);
 
-/** Excess kurtosis. 0 for n < 4. */
-double excessKurtosis(std::span<const double> values);
-
 /** Pearson correlation of two equally sized samples. */
 double pearson(std::span<const double> x, std::span<const double> y);
 

@@ -1,95 +1,12 @@
 #include "stats/series_stats.h"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "stats/descriptive.h"
 #include "util/error.h"
 
 namespace cminer::stats {
-
-double
-autocorrelation(std::span<const double> values, std::size_t lag)
-{
-    CM_ASSERT(lag >= 1);
-    CM_ASSERT(values.size() > lag);
-    const double mu = mean(values);
-    double numerator = 0.0;
-    double denominator = 0.0;
-    for (std::size_t t = 0; t < values.size(); ++t) {
-        const double d = values[t] - mu;
-        denominator += d * d;
-        if (t + lag < values.size())
-            numerator += d * (values[t + lag] - mu);
-    }
-    if (denominator <= 0.0)
-        return 0.0;
-    return numerator / denominator;
-}
-
-std::vector<double>
-acf(std::span<const double> values, std::size_t max_lag)
-{
-    CM_ASSERT(max_lag >= 1);
-    std::vector<double> out;
-    out.reserve(max_lag);
-    for (std::size_t lag = 1; lag <= max_lag; ++lag)
-        out.push_back(autocorrelation(values, lag));
-    return out;
-}
-
-KsResult
-ksTwoSample(std::span<const double> a, std::span<const double> b)
-{
-    CM_ASSERT(!a.empty() && !b.empty());
-    std::vector<double> sa(a.begin(), a.end());
-    std::vector<double> sb(b.begin(), b.end());
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-
-    // Walk the merged order tracking the empirical CDF gap.
-    double statistic = 0.0;
-    std::size_t ia = 0;
-    std::size_t ib = 0;
-    const double na = static_cast<double>(sa.size());
-    const double nb = static_cast<double>(sb.size());
-    while (ia < sa.size() && ib < sb.size()) {
-        const double x = std::min(sa[ia], sb[ib]);
-        while (ia < sa.size() && sa[ia] <= x)
-            ++ia;
-        while (ib < sb.size() && sb[ib] <= x)
-            ++ib;
-        statistic = std::max(
-            statistic, std::abs(static_cast<double>(ia) / na -
-                                static_cast<double>(ib) / nb));
-    }
-
-    KsResult result;
-    result.statistic = statistic;
-    // Asymptotic Kolmogorov distribution tail.
-    const double effective = std::sqrt(na * nb / (na + nb));
-    const double lambda =
-        (effective + 0.12 + 0.11 / effective) * statistic;
-    // The alternating series diverges as lambda -> 0; Q(0) = 1.
-    if (lambda < 0.2) {
-        result.pValue = 1.0;
-        return result;
-    }
-    double p = 0.0;
-    double sign = 1.0;
-    for (int j = 1; j <= 100; ++j) {
-        const double term =
-            sign * std::exp(-2.0 * lambda * lambda *
-                            static_cast<double>(j) *
-                            static_cast<double>(j));
-        p += term;
-        if (std::abs(term) < 1e-12)
-            break;
-        sign = -sign;
-    }
-    result.pValue = std::clamp(2.0 * p, 0.0, 1.0);
-    return result;
-}
 
 namespace {
 

@@ -1,54 +1,14 @@
 /**
  * @file
- * Series-level statistics: autocorrelation (how persistent an event's
- * activity is — the property that makes temporal KNN imputation work)
- * and the two-sample Kolmogorov-Smirnov test (does an event behave the
- * same in two runs / two configurations?).
+ * Rank statistics over double sequences.
  */
 
 #ifndef CMINER_STATS_SERIES_STATS_H
 #define CMINER_STATS_SERIES_STATS_H
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace cminer::stats {
-
-/**
- * Sample autocorrelation at a given lag.
- *
- * @param values the series (length > lag)
- * @param lag lag in samples (>= 1)
- * @return autocorrelation in [-1, 1]; 0 for degenerate series
- */
-double autocorrelation(std::span<const double> values, std::size_t lag);
-
-/**
- * Autocorrelation function for lags 1..max_lag.
- */
-std::vector<double> acf(std::span<const double> values,
-                        std::size_t max_lag);
-
-/** Result of a two-sample Kolmogorov-Smirnov test. */
-struct KsResult
-{
-    double statistic = 0.0; ///< sup |F1 - F2|
-    /**
-     * Asymptotic p-value (Kolmogorov distribution approximation);
-     * small values reject "same distribution".
-     */
-    double pValue = 1.0;
-};
-
-/**
- * Two-sample KS test.
- *
- * @param a first sample (non-empty)
- * @param b second sample (non-empty)
- */
-KsResult ksTwoSample(std::span<const double> a,
-                     std::span<const double> b);
 
 /**
  * Spearman rank correlation of two equally sized samples (Pearson

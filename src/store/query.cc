@@ -73,14 +73,4 @@ summarizeEventAcrossRuns(const Database &db, const std::string &program,
     return result;
 }
 
-std::vector<RunId>
-runsByExecTime(const Database &db, const std::string &program)
-{
-    std::vector<RunId> runs = db.findRuns(program);
-    std::sort(runs.begin(), runs.end(), [&](RunId a, RunId b) {
-        return db.runInfo(a).execTimeMs < db.runInfo(b).execTimeMs;
-    });
-    return runs;
-}
-
 } // namespace cminer::store

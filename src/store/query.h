@@ -54,13 +54,6 @@ EventAcrossRuns summarizeEventAcrossRuns(const Database &db,
                                          const std::string &event,
                                          const std::string &mode = "");
 
-/**
- * The runs of a program ordered by execution time (ascending) — e.g. to
- * pick the best/worst configurations out of a tuning sweep.
- */
-std::vector<RunId> runsByExecTime(const Database &db,
-                                  const std::string &program);
-
 } // namespace cminer::store
 
 #endif // CMINER_STORE_QUERY_H

@@ -326,19 +326,6 @@ Segment::column(std::size_t ordinal, std::size_t event_index) const
             static_cast<std::size_t>(entry.length)};
 }
 
-std::span<const double>
-Segment::column(std::size_t ordinal, const std::string &event) const
-{
-    CM_ASSERT(ordinal < runs_.size());
-    const RunEntry &entry = runs_[ordinal];
-    for (std::size_t e = 0; e < entry.meta.events.size(); ++e) {
-        if (entry.meta.events[e] == event)
-            return column(ordinal, e);
-    }
-    util::fatal("segment: run " + std::to_string(entry.meta.id) +
-                " has no event " + event);
-}
-
 std::vector<std::size_t>
 Segment::runsForProgram(const std::string &program) const
 {

@@ -170,10 +170,6 @@ class Segment
     std::span<const double> column(std::size_t ordinal,
                                    std::size_t event_index) const;
 
-    /** Column by event name; fatal when the run lacks the event. */
-    std::span<const double> column(std::size_t ordinal,
-                                   const std::string &event) const;
-
     /**
      * Ordinals of this segment's runs for one program, ascending, from
      * the per-program index section — a mining job touches only the

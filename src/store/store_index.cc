@@ -56,13 +56,6 @@ StoreSnapshot::runCount() const
     return n;
 }
 
-bool
-StoreSnapshot::hasRun(RunId id) const
-{
-    const Location loc = locate(id);
-    return loc.segment != nullptr || loc.buffered != nullptr;
-}
-
 const RunMetadata &
 StoreSnapshot::runInfo(RunId id) const
 {

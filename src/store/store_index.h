@@ -122,9 +122,6 @@ class StoreSnapshot
     /** Runs visible in this snapshot. */
     std::size_t runCount() const;
 
-    /** True when `id` is a run of this snapshot. */
-    bool hasRun(RunId id) const;
-
     /** Metadata of a run; fatal for unknown ids. */
     const RunMetadata &runInfo(RunId id) const;
 

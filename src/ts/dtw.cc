@@ -113,8 +113,7 @@ bandColumns(std::size_t i, std::size_t n, std::size_t m, std::size_t band)
 template <typename Lane, std::size_t Width>
 void
 dtwLanes(const DtwPair *pairs, std::size_t n, std::size_t m,
-         std::size_t band, const DtwOptions &options,
-         std::vector<double> &scratch, double *out)
+         std::size_t band, std::vector<double> &scratch, double *out)
 {
     constexpr std::size_t block = Width * Lane::pairs;
     // Sample t of lane l's series sits at a[l] + t * step.
@@ -191,10 +190,8 @@ dtwLanes(const DtwPair *pairs, std::size_t n, std::size_t m,
 
 #pragma GCC unroll 8
     for (std::size_t p = 0; p < block; ++p) {
-        double distance = prev[m * block + p];
+        const double distance = prev[m * block + p];
         CM_ASSERT(std::isfinite(distance));
-        if (options.normalizeByPathLength)
-            distance /= static_cast<double>(n + m);
         out[p] = distance;
     }
 }
@@ -225,7 +222,7 @@ dtwDistance(std::span<const double> a, std::span<const double> b,
     double distance = 0.0;
     dtwLanes<ScalarLane, 1>(&pair, n, m,
                             dtwBandHalfWidth(n, m, options.bandFraction),
-                            options, scratch, &distance);
+                            scratch, &distance);
     return distance;
 }
 
@@ -246,11 +243,10 @@ dtwDistances(std::span<const DtwPair> pairs, const DtwOptions &options,
     constexpr std::size_t block = kDtwLanes * BlockLane::pairs;
     std::size_t k = 0;
     for (; k + block <= pairs.size(); k += block)
-        dtwLanes<BlockLane, kDtwLanes>(&pairs[k], n, m, band, options,
-                                       scratch, &out[k]);
+        dtwLanes<BlockLane, kDtwLanes>(&pairs[k], n, m, band, scratch,
+                                       &out[k]);
     for (; k < pairs.size(); ++k)
-        dtwLanes<ScalarLane, 1>(&pairs[k], n, m, band, options, scratch,
-                                &out[k]);
+        dtwLanes<ScalarLane, 1>(&pairs[k], n, m, band, scratch, &out[k]);
 }
 
 double
@@ -297,8 +293,6 @@ dtwAlign(std::span<const double> a, std::span<const double> b,
     DtwResult result;
     result.distance = d[n - 1][m - 1];
     CM_ASSERT(std::isfinite(result.distance));
-    if (options.normalizeByPathLength)
-        result.distance /= static_cast<double>(n + m);
 
     // Greedy traceback along minimal predecessors.
     std::size_t i = n - 1;

@@ -31,9 +31,6 @@ struct DtwOptions
      * the constraint. 0.1 is a common speed/accuracy tradeoff.
      */
     double bandFraction = 0.0;
-
-    /** When true, normalize the distance by the warping-path length. */
-    bool normalizeByPathLength = false;
 };
 
 /** DTW result: distance plus, optionally, the alignment path. */
@@ -60,7 +57,7 @@ std::size_t dtwBandHalfWidth(std::size_t n, std::size_t m,
  *
  * @param a first sequence (length n >= 1)
  * @param b second sequence (length m >= 1)
- * @param options band / normalization controls
+ * @param options band controls
  */
 double dtwDistance(std::span<const double> a, std::span<const double> b,
                    const DtwOptions &options = {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "stats/descriptive.h"
 #include "ts/dtw.h"
@@ -23,32 +22,6 @@ lbKeoghTerm(double lower, double upper, double c)
     if (c < lower)
         return lower - c;
     return 0.0;
-}
-
-/**
- * Sum of the deviation terms under a fixed four-lane block schedule:
- * lane l accumulates the terms 4i + l in index order, the lanes combine
- * as (l0 + l1) + (l2 + l3), then the n % 4 tail terms are added in
- * order. The schedule's rounding is part of the bound's bits, and the
- * bound orders nearestMedoid's DTW visits.
- */
-double
-lbKeoghSum(std::span<const double> lower, std::span<const double> upper,
-           std::span<const double> candidate)
-{
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    const std::size_t n = candidate.size();
-    const std::size_t main = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < main; i += 4) {
-        a0 += lbKeoghTerm(lower[i], upper[i], candidate[i]);
-        a1 += lbKeoghTerm(lower[i + 1], upper[i + 1], candidate[i + 1]);
-        a2 += lbKeoghTerm(lower[i + 2], upper[i + 2], candidate[i + 2]);
-        a3 += lbKeoghTerm(lower[i + 3], upper[i + 3], candidate[i + 3]);
-    }
-    double total = (a0 + a1) + (a2 + a3);
-    for (std::size_t i = main; i < n; ++i)
-        total += lbKeoghTerm(lower[i], upper[i], candidate[i]);
-    return total;
 }
 
 } // namespace
@@ -76,36 +49,33 @@ computeEnvelope(std::span<const double> values, std::size_t radius)
     return env;
 }
 
+/**
+ * The deviation terms are summed under a fixed four-lane block schedule:
+ * lane l accumulates the terms 4i + l in index order, the lanes combine
+ * as (l0 + l1) + (l2 + l3), then the n % 4 tail terms are added in
+ * order. The schedule's rounding is part of the bound's bits, and the
+ * bound orders nearestMedoid's DTW visits.
+ */
 double
 lbKeogh(const Envelope &envelope, std::span<const double> candidate)
 {
     CM_ASSERT(envelope.upper.size() == candidate.size());
     CM_ASSERT(envelope.lower.size() == candidate.size());
-    return lbKeoghSum(envelope.lower, envelope.upper, candidate);
-}
-
-util::StatusOr<double>
-lbKeoghChecked(const Envelope &envelope, std::span<const double> candidate)
-{
-    if (envelope.upper.size() != candidate.size() ||
-        envelope.lower.size() != candidate.size()) {
-        return util::Status::dataError(
-            "lbKeogh: envelope sizes (upper " +
-            std::to_string(envelope.upper.size()) + ", lower " +
-            std::to_string(envelope.lower.size()) +
-            ") do not match candidate length " +
-            std::to_string(candidate.size()));
+    const std::span<const double> lower = envelope.lower;
+    const std::span<const double> upper = envelope.upper;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    const std::size_t n = candidate.size();
+    const std::size_t main = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < main; i += 4) {
+        a0 += lbKeoghTerm(lower[i], upper[i], candidate[i]);
+        a1 += lbKeoghTerm(lower[i + 1], upper[i + 1], candidate[i + 1]);
+        a2 += lbKeoghTerm(lower[i + 2], upper[i + 2], candidate[i + 2]);
+        a3 += lbKeoghTerm(lower[i + 3], upper[i + 3], candidate[i + 3]);
     }
-    for (std::size_t i = 0; i < candidate.size(); ++i) {
-        if (!(envelope.lower[i] <= envelope.upper[i])) {
-            return util::Status::dataError(
-                "lbKeogh: envelope inverted at index " +
-                std::to_string(i) + " (lower " +
-                std::to_string(envelope.lower[i]) + " > upper " +
-                std::to_string(envelope.upper[i]) + ")");
-        }
-    }
-    return lbKeoghSum(envelope.lower, envelope.upper, candidate);
+    double total = (a0 + a1) + (a2 + a3);
+    for (std::size_t i = main; i < n; ++i)
+        total += lbKeoghTerm(lower[i], upper[i], candidate[i]);
+    return total;
 }
 
 NearestResult
@@ -172,15 +142,6 @@ zNormalize(std::vector<double> &values)
         sigma = 1.0; // constant series normalizes to ~all zeros
     for (auto &v : values)
         v = (v - mu) / sigma;
-}
-
-TimeSeries
-zNormalized(const TimeSeries &series)
-{
-    std::vector<double> values = series.values();
-    zNormalize(values);
-    return TimeSeries(series.eventName(), std::move(values),
-                      series.intervalMs());
 }
 
 } // namespace cminer::ts

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ts/time_series.h"
-#include "util/status.h"
 
 namespace cminer::ts {
 
@@ -53,16 +52,6 @@ double lbKeogh(const Envelope &envelope,
                std::span<const double> candidate);
 
 /**
- * Validating variant of lbKeogh for untrusted envelopes: checks that
- * both envelope sides match the candidate length and that
- * lower[i] <= upper[i] everywhere, returning a data error instead of
- * asserting. Use this when the envelope comes from external data
- * rather than computeEnvelope.
- */
-util::StatusOr<double> lbKeoghChecked(const Envelope &envelope,
-                                      std::span<const double> candidate);
-
-/**
  * Nearest-neighbor search under DTW accelerated by LB_Keogh.
  *
  * Candidates are resampled to the query length first (DTW tolerates
@@ -86,9 +75,6 @@ NearestResult nearestNeighborDtw(
 
 /** Z-normalize a series in place (zero mean, unit variance). */
 void zNormalize(std::vector<double> &values);
-
-/** Z-normalized copy of a TimeSeries. */
-TimeSeries zNormalized(const TimeSeries &series);
 
 } // namespace cminer::ts
 

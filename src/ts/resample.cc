@@ -1,6 +1,6 @@
 #include "ts/resample.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/error.h"
 
@@ -32,41 +32,6 @@ resampleLinear(const std::vector<double> &values, std::size_t target_length)
         const std::size_t hi = std::min(lo + 1, values.size() - 1);
         const double frac = pos - static_cast<double>(lo);
         out[i] = values[lo] * (1.0 - frac) + values[hi] * frac;
-    }
-    return out;
-}
-
-TimeSeries
-resampleLinear(const TimeSeries &series, std::size_t target_length)
-{
-    const double total_ms = series.durationMs();
-    auto values = resampleLinear(series.values(), target_length);
-    // Preserve the covered wall-clock time: durationMs() must
-    // round-trip through any resample, including upsampling past the
-    // source length. Only a degenerate source (non-positive duration,
-    // where no positive interval can reproduce it) keeps the old
-    // interval instead of silently drifting it to 0 or negative.
-    const double new_interval =
-        total_ms > 0.0 ? total_ms / static_cast<double>(target_length)
-                       : series.intervalMs();
-    return TimeSeries(series.eventName(), std::move(values),
-                      new_interval);
-}
-
-std::vector<double>
-downsampleMean(const std::vector<double> &values, std::size_t factor)
-{
-    CM_ASSERT(factor >= 1);
-    if (factor == 1)
-        return values;
-    std::vector<double> out;
-    out.reserve((values.size() + factor - 1) / factor);
-    for (std::size_t start = 0; start < values.size(); start += factor) {
-        const std::size_t end = std::min(start + factor, values.size());
-        double sum = 0.0;
-        for (std::size_t i = start; i < end; ++i)
-            sum += values[i];
-        out.push_back(sum / static_cast<double>(end - start));
     }
     return out;
 }

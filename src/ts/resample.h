@@ -1,8 +1,7 @@
 /**
  * @file
- * Resampling helpers: stretch/compress a series to a target length and
- * aggregate adjacent intervals. Used when comparing series from runs with
- * very different lengths and by the bench plots.
+ * Resampling: stretch/compress a series to a target length. Used when
+ * comparing series from runs with very different lengths.
  */
 
 #ifndef CMINER_TS_RESAMPLE_H
@@ -10,8 +9,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "ts/time_series.h"
 
 namespace cminer::ts {
 
@@ -23,17 +20,6 @@ namespace cminer::ts {
  */
 std::vector<double> resampleLinear(const std::vector<double> &values,
                                    std::size_t target_length);
-
-/** Resample a TimeSeries, preserving metadata and adjusting intervalMs. */
-TimeSeries resampleLinear(const TimeSeries &series,
-                          std::size_t target_length);
-
-/**
- * Downsample by averaging groups of `factor` adjacent intervals (the last
- * group may be smaller).
- */
-std::vector<double> downsampleMean(const std::vector<double> &values,
-                                   std::size_t factor);
 
 } // namespace cminer::ts
 

@@ -36,17 +36,4 @@ TimeSeries::total() const
     return sum;
 }
 
-TimeSeries
-TimeSeries::slice(std::size_t first, std::size_t count) const
-{
-    CM_ASSERT(first <= values_.size());
-    const std::size_t end = std::min(first + count, values_.size());
-    return TimeSeries(eventName_,
-                      std::vector<double>(values_.begin() +
-                                              static_cast<long>(first),
-                                          values_.begin() +
-                                              static_cast<long>(end)),
-                      intervalMs_);
-}
-
 } // namespace cminer::ts

@@ -77,9 +77,6 @@ class TimeSeries
     /** Sum of all values (total event count over the run). */
     double total() const;
 
-    /** Return a copy restricted to [first, first+count). */
-    TimeSeries slice(std::size_t first, std::size_t count) const;
-
   private:
     std::string eventName_;
     std::vector<double> values_;

@@ -1,22 +1,11 @@
 #include "util/csv.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/string_util.h"
 
 namespace cminer::util {
-
-std::size_t
-CsvDocument::columnIndex(const std::string &name) const
-{
-    for (std::size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == name)
-            return i;
-    }
-    return npos;
-}
 
 CsvWriter::CsvWriter(const std::string &path)
     : path_(path)
@@ -80,91 +69,6 @@ csvQuote(const std::string &field)
     }
     quoted += '"';
     return quoted;
-}
-
-std::vector<std::string>
-parseCsvLine(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string current;
-    bool in_quotes = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (in_quotes) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    current += '"';
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                current += c;
-            }
-        } else if (c == '"') {
-            in_quotes = true;
-        } else if (c == ',') {
-            fields.push_back(current);
-            current.clear();
-        } else if (c != '\r') {
-            current += c;
-        }
-    }
-    fields.push_back(current);
-    return fields;
-}
-
-StatusOr<CsvDocument>
-parseCsv(const std::string &text, const CsvParseOptions &options,
-         CsvParseReport *report)
-{
-    CsvDocument doc;
-    CsvParseReport local;
-    std::istringstream in(text);
-    std::string line;
-    std::size_t line_no = 0;
-    bool first = true;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        auto fields = parseCsvLine(line);
-        if (first) {
-            doc.header = std::move(fields);
-            first = false;
-            continue;
-        }
-        ++local.totalRows;
-        if (fields.size() != doc.header.size()) {
-            if (!options.lenient) {
-                return Status::parseError(format(
-                    "csv: line %zu: row has %zu fields, header has %zu",
-                    line_no, fields.size(), doc.header.size()));
-            }
-            ++local.skippedRows;
-            continue;
-        }
-        doc.rows.push_back(std::move(fields));
-    }
-    if (report != nullptr)
-        *report = local;
-    if (first)
-        return Status::dataError("csv: no header row");
-    return doc;
-}
-
-CsvDocument
-readCsv(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open CSV file for reading: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto result = parseCsv(text.str());
-    if (!result.ok())
-        result.status().withContext("reading " + path).throwIfError();
-    return std::move(result).value();
 }
 
 } // namespace cminer::util

@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal CSV reader/writer used by the store's text export and the bench
- * harness. Handles quoting of fields that contain commas, quotes, or
- * newlines (RFC 4180 subset).
+ * Minimal CSV writer used by the store's text export and the bench
+ * harness. Quotes fields that contain commas, quotes, or newlines
+ * (RFC 4180 subset).
  */
 
 #ifndef CMINER_UTIL_CSV_H
@@ -11,21 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace cminer::util {
-
-/** A parsed CSV document: a header row plus data rows of strings. */
-struct CsvDocument
-{
-    std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows;
-
-    /** Index of a header column, or npos when absent. */
-    std::size_t columnIndex(const std::string &name) const;
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-};
 
 /** Streaming CSV writer. */
 class CsvWriter
@@ -57,52 +43,8 @@ class CsvWriter
     bool closed_ = false;
 };
 
-/** Parsing policy for CSV text. */
-struct CsvParseOptions
-{
-    /**
-     * Lenient mode skips rows whose field count disagrees with the
-     * header (counting them in the report) instead of rejecting the
-     * document. Strict mode (the default) rejects with the offending
-     * line number and both widths.
-     */
-    bool lenient = false;
-};
-
-/** What a lenient CSV parse had to tolerate. */
-struct CsvParseReport
-{
-    std::size_t totalRows = 0;    ///< data rows seen (header excluded)
-    std::size_t skippedRows = 0;  ///< rows dropped for a width mismatch
-};
-
-/**
- * Parse CSV text with a header row.
- *
- * @param text document contents
- * @param options parsing policy
- * @param report optional damage accounting (filled in either mode)
- * @return the document, or a ParseError naming the first bad line in
- *         strict mode / a DataError when no header row exists
- */
-StatusOr<CsvDocument> parseCsv(const std::string &text,
-                               const CsvParseOptions &options = {},
-                               CsvParseReport *report = nullptr);
-
-/**
- * Parse a CSV file with a header row (strict).
- *
- * @param path file to read
- * @return parsed document
- * @throws FatalError when the file is missing or malformed
- */
-CsvDocument readCsv(const std::string &path);
-
 /** Quote a single field per RFC 4180 when necessary. */
 std::string csvQuote(const std::string &field);
-
-/** Parse one CSV line into fields (handles quoted fields). */
-std::vector<std::string> parseCsvLine(const std::string &line);
 
 } // namespace cminer::util
 

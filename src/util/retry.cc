@@ -19,22 +19,16 @@ SleepingClock::sleepMs(double ms)
 }
 
 double
-backoffDelayMs(const RetryOptions &options, std::size_t retry, Rng &rng)
+backoffDelayMs(const RetryOptions &options, std::size_t retry)
 {
     double delay = options.baseDelayMs;
     for (std::size_t r = 0; r < retry; ++r)
         delay *= options.multiplier;
-    delay = std::min(delay, options.maxDelayMs);
-    if (options.jitterFraction > 0.0) {
-        const double u = rng.uniform();
-        delay *= 1.0 - options.jitterFraction / 2.0 +
-                 options.jitterFraction * u;
-    }
-    return delay;
+    return std::min(delay, options.maxDelayMs);
 }
 
 RetryResult
-retryWithBackoff(const RetryOptions &options, RetryClock &clock, Rng &rng,
+retryWithBackoff(const RetryOptions &options, RetryClock &clock,
                  const std::function<Status()> &attempt)
 {
     CM_ASSERT(options.maxAttempts >= 1);
@@ -47,7 +41,7 @@ retryWithBackoff(const RetryOptions &options, RetryClock &clock, Rng &rng,
             return result;
         if (a + 1 == options.maxAttempts)
             break; // out of attempts: report the transient failure
-        const double delay = backoffDelayMs(options, a, rng);
+        const double delay = backoffDelayMs(options, a);
         // Deadline budget: sleeping past it would hold a deadlined
         // caller hostage to a dependency that may never recover, so the
         // loop stops *before* the offending sleep and reports the last

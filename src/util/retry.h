@@ -4,9 +4,7 @@
  *
  * Only Status codes of Transient are retried — a ParseError will not get
  * better by trying again. The clock is injectable so tests (and the
- * simulator, which has no real wall-clock dependencies) run instantly,
- * and jitter is drawn from an explicit Rng so the delay sequence is a
- * pure function of the seed.
+ * simulator, which has no real wall-clock dependencies) run instantly.
  */
 
 #ifndef CMINER_UTIL_RETRY_H
@@ -16,7 +14,6 @@
 #include <functional>
 #include <vector>
 
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace cminer::util {
@@ -32,12 +29,6 @@ struct RetryOptions
     double multiplier = 2.0;
     /** Delay ceiling. */
     double maxDelayMs = 1000.0;
-    /**
-     * Uniform jitter as a fraction of the delay: the slept delay is
-     * `d * (1 - jitter/2 + jitter*u)` with u drawn from the Rng. 0
-     * disables jitter (and leaves the Rng untouched).
-     */
-    double jitterFraction = 0.0;
     /**
      * Total backoff budget in milliseconds; 0 disables the budget.
      * When the next backoff sleep would push the cumulative delay past
@@ -116,11 +107,10 @@ struct RetryResult
 };
 
 /**
- * The backoff delay before retry number `retry` (0-based), jittered.
- * Exposed for tests; draws from `rng` only when jitter is enabled.
+ * The backoff delay before retry number `retry` (0-based). Exposed for
+ * tests.
  */
-double backoffDelayMs(const RetryOptions &options, std::size_t retry,
-                      Rng &rng);
+double backoffDelayMs(const RetryOptions &options, std::size_t retry);
 
 /**
  * Run `attempt` until it returns a non-transient status or attempts run
@@ -128,11 +118,9 @@ double backoffDelayMs(const RetryOptions &options, std::size_t retry,
  *
  * @param options backoff policy
  * @param clock sleep implementation
- * @param rng jitter source (untouched when jitterFraction == 0)
  * @param attempt the operation; returns Ok, Transient, or a hard error
  */
 RetryResult retryWithBackoff(const RetryOptions &options, RetryClock &clock,
-                             Rng &rng,
                              const std::function<Status()> &attempt);
 
 } // namespace cminer::util

@@ -143,28 +143,6 @@ Rng::logNormal(double mu, double sigma)
     return std::exp(gaussian(mu, sigma));
 }
 
-std::int64_t
-Rng::poisson(double mean)
-{
-    CM_ASSERT(mean >= 0.0);
-    if (mean == 0.0)
-        return 0;
-    if (mean < 30.0) {
-        // Knuth's multiplicative method.
-        const double threshold = std::exp(-mean);
-        std::int64_t count = -1;
-        double product = 1.0;
-        do {
-            ++count;
-            product *= uniform();
-        } while (product > threshold);
-        return count;
-    }
-    // Normal approximation with continuity correction for large means.
-    const double draw = gaussian(mean, std::sqrt(mean));
-    return draw < 0.0 ? 0 : static_cast<std::int64_t>(draw + 0.5);
-}
-
 bool
 Rng::bernoulli(double p)
 {
@@ -195,12 +173,6 @@ Rng::sampleIndices(std::size_t n, std::size_t k)
         picked.push_back(pool[i]);
     }
     return picked;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next());
 }
 
 } // namespace cminer::util

@@ -78,9 +78,6 @@ class Rng
     /** Log-normal draw parameterized by the underlying normal. */
     double logNormal(double mu, double sigma);
 
-    /** Poisson draw (Knuth for small means, normal approx for large). */
-    std::int64_t poisson(double mean);
-
     /** Bernoulli draw with success probability p in [0, 1]. */
     bool bernoulli(double p);
 
@@ -103,9 +100,6 @@ class Rng
      * @param k sample size; clamped to n
      */
     std::vector<std::size_t> sampleIndices(std::size_t n, std::size_t k);
-
-    /** Derive an independent child generator (for parallel workloads). */
-    Rng split();
 
   private:
     std::uint64_t state_[4];

@@ -50,15 +50,6 @@ trim(std::string_view text)
     return std::string(text.substr(begin, end - begin));
 }
 
-std::string
-toLower(std::string_view text)
-{
-    std::string lowered(text);
-    for (char &c : lowered)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return lowered;
-}
-
 bool
 startsWith(std::string_view text, std::string_view prefix)
 {

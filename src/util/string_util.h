@@ -22,9 +22,6 @@ std::string join(const std::vector<std::string> &parts,
 /** Strip ASCII whitespace from both ends. */
 std::string trim(std::string_view text);
 
-/** ASCII lower-casing. */
-std::string toLower(std::string_view text);
-
 /** True when text starts with the given prefix. */
 bool startsWith(std::string_view text, std::string_view prefix);
 

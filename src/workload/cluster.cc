@@ -2,60 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/error.h"
+#include <cstddef>
 
 namespace cminer::workload {
 
 using cminer::util::Rng;
 
-SimulatedCluster::SimulatedCluster(ClusterConfig config)
-    : config_(config)
-{
-    CM_ASSERT(config_.slaveNodes >= 1);
-}
+namespace {
 
-JobResult
-SimulatedCluster::runJob(const SyntheticBenchmark &benchmark,
-                         const SparkConfig &spark_config, Rng &rng) const
-{
-    JobResult result;
-    result.profiledTrace = benchmark.generateTrace(rng, spark_config);
-    const double profiled_ms = result.profiledTrace.durationMs();
+constexpr std::size_t kSlaveNodes = 3;
+/** Fixed job submission + scheduling overhead. */
+constexpr double kSchedulingOverheadMs = 350.0;
+/** Lognormal sigma of per-node straggling. */
+constexpr double kStragglerSigma = 0.06;
 
-    result.nodeTimesMs.push_back(profiled_ms);
-    for (std::size_t node = 1; node < config_.slaveNodes; ++node) {
-        // Sibling nodes run the same work with straggler jitter.
-        const double straggle =
-            std::exp(rng.gaussian(0.0, config_.stragglerSigma));
-        result.nodeTimesMs.push_back(profiled_ms * straggle);
-    }
-    result.execTimeMs =
-        *std::max_element(result.nodeTimesMs.begin(),
-                          result.nodeTimesMs.end()) +
-        config_.schedulingOverheadMs;
-    return result;
-}
+} // namespace
 
 double
 SimulatedCluster::runJobTimeOnly(const SyntheticBenchmark &benchmark,
                                  const SparkConfig &spark_config,
                                  Rng &rng) const
 {
-    // Same timing model as runJob without materializing the trace: mean
-    // intervals scaled by the config factor and OS jitter per node.
+    // Mean intervals scaled by the config factor, and OS jitter and
+    // straggling per node.
     const double base_ms = benchmark.spec().meanIntervals *
                            benchmark.spec().intervalMs *
                            benchmark.durationFactor(spark_config);
     double slowest = 0.0;
-    for (std::size_t node = 0; node < config_.slaveNodes; ++node) {
+    for (std::size_t node = 0; node < kSlaveNodes; ++node) {
         const double jitter = std::exp(
             rng.gaussian(0.0, benchmark.spec().lengthJitter));
         const double straggle =
-            std::exp(rng.gaussian(0.0, config_.stragglerSigma));
+            std::exp(rng.gaussian(0.0, kStragglerSigma));
         slowest = std::max(slowest, base_ms * jitter * straggle);
     }
-    return slowest + config_.schedulingOverheadMs;
+    return slowest + kSchedulingOverheadMs;
 }
 
 } // namespace cminer::workload

@@ -2,40 +2,17 @@
  * @file
  * The simulated experimental cluster (paper Section IV-A): one master
  * and three slave nodes running Spark jobs. Execution time is the slowest
- * node plus scheduling overhead; one node is profiled (the trace the
- * collector sees).
+ * node plus scheduling overhead.
  */
 
 #ifndef CMINER_WORKLOAD_CLUSTER_H
 #define CMINER_WORKLOAD_CLUSTER_H
 
-#include <string>
-#include <vector>
-
-#include "pmu/trace.h"
 #include "util/rng.h"
 #include "workload/benchmark.h"
 #include "workload/spark_config.h"
 
 namespace cminer::workload {
-
-/** Cluster shape and timing model. */
-struct ClusterConfig
-{
-    std::size_t slaveNodes = 3;
-    /** Fixed job submission + scheduling overhead. */
-    double schedulingOverheadMs = 350.0;
-    /** Lognormal sigma of per-node straggling. */
-    double stragglerSigma = 0.06;
-};
-
-/** Outcome of one cluster job. */
-struct JobResult
-{
-    double execTimeMs = 0.0;           ///< wall-clock job time
-    std::vector<double> nodeTimesMs;   ///< per-slave completion time
-    cminer::pmu::TrueTrace profiledTrace; ///< trace of the profiled node
-};
 
 /**
  * A four-node Spark/Mesos cluster, simulated.
@@ -43,33 +20,15 @@ struct JobResult
 class SimulatedCluster
 {
   public:
-    explicit SimulatedCluster(ClusterConfig config = {});
-
-    /** Cluster shape. */
-    const ClusterConfig &config() const { return config_; }
-
     /**
-     * Run one job: the benchmark executes on every slave; the first
-     * slave is profiled.
-     *
-     * @param benchmark what to run
-     * @param spark_config configuration for this run
-     * @param rng randomness for the run
-     */
-    JobResult runJob(const SyntheticBenchmark &benchmark,
-                     const SparkConfig &spark_config,
-                     cminer::util::Rng &rng) const;
-
-    /**
-     * Execution time only — cheaper when the caller does not need the
-     * trace (e.g. the method-B parameter sweeps of Fig. 15).
+     * Execution time of one job: the benchmark's mean run length under
+     * `spark_config`, with per-node OS jitter and straggling, on the
+     * slowest of the three slaves, plus scheduling overhead (e.g. the
+     * method-B parameter sweeps of Fig. 15).
      */
     double runJobTimeOnly(const SyntheticBenchmark &benchmark,
                           const SparkConfig &spark_config,
                           cminer::util::Rng &rng) const;
-
-  private:
-    ClusterConfig config_;
 };
 
 } // namespace cminer::workload

@@ -12,6 +12,15 @@ using cminer::pmu::EventId;
 using cminer::pmu::TrueTrace;
 using cminer::util::Rng;
 
+namespace {
+
+/** L2 inflation per unit contention-pressure. */
+constexpr double kL2Boost = 1.6;
+/** Log-IPC penalty per unit contention-pressure. */
+constexpr double kIpcPenalty = 0.35;
+
+} // namespace
+
 TrueTrace
 composeColocated(const SyntheticBenchmark &a, const SyntheticBenchmark &b,
                  Rng &rng, const ColocationOptions &options)
@@ -58,7 +67,7 @@ composeColocated(const SyntheticBenchmark &a, const SyntheticBenchmark &b,
                 count *= 0.5;
             }
             if (is_l2[id]) {
-                count *= 1.0 + contention * options.l2Boost * pressure[t];
+                count *= 1.0 + contention * kL2Boost * pressure[t];
             }
             combined.setCount(id, t, count);
         }
@@ -75,8 +84,8 @@ composeColocated(const SyntheticBenchmark &a, const SyntheticBenchmark &b,
         const double ipc_b = trace_b.ipc(t);
         const double harmonic =
             2.0 * ipc_a * ipc_b / std::max(1e-9, ipc_a + ipc_b);
-        const double penalty = std::exp(
-            -contention * options.ipcPenalty * pressure[t]);
+        const double penalty =
+            std::exp(-contention * kIpcPenalty * pressure[t]);
         const double ipc = std::clamp(harmonic * penalty, 0.05, 5.0);
         combined.setIpc(t, ipc);
         // Keep the fixed counters consistent with the combined IPC.

@@ -27,10 +27,6 @@ struct ColocationOptions
      * 0.75 for different programs.
      */
     double contention = -1.0;
-    /** L2 inflation per unit contention-pressure. */
-    double l2Boost = 1.6;
-    /** Log-IPC penalty per unit contention-pressure. */
-    double ipcPenalty = 0.35;
 };
 
 /**

@@ -15,7 +15,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "ml/model_io.h"
 #include "pmu/event.h"
 #include "store/database.h"
+#include "support/test_support.h"
 #include "ts/time_series.h"
 #include "util/binary_io.h"
 #include "util/error.h"
@@ -42,31 +42,11 @@ using cminer::ts::TimeSeries;
 using cminer::util::BinaryReader;
 using cminer::util::BinaryWriter;
 using cminer::util::FatalError;
+using cminer::test::readBytes;
+using cminer::test::tmpPath;
+using cminer::test::writeBytes;
 
 // --- helpers --------------------------------------------------------------
-
-std::string
-tmpPath(const std::string &name)
-{
-    return "/tmp/cminer_checkpoint_test_" + name;
-}
-
-void
-writeBytes(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.is_open());
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string
-readBytes(const std::string &path)
-{
-    auto bytes = util::readFileBytes(path);
-    EXPECT_TRUE(bytes.ok()) << bytes.status().toString();
-    return bytes.ok() ? bytes.value() : "";
-}
 
 /** Bitwise equality of two prediction vectors. */
 void

@@ -21,6 +21,7 @@
 #include "ml/dataset.h"
 #include "ml/gbrt.h"
 #include "ml/knn.h"
+#include "support/test_support.h"
 #include "ts/time_series.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -28,20 +29,10 @@
 namespace {
 
 using namespace cminer;
-using cminer::util::Parallelism;
 using cminer::util::Rng;
+using cminer::test::ThreadCountGuard;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 7};
-
-/** Restores automatic thread-count resolution when a test ends. */
-struct ThreadCountGuard
-{
-    explicit ThreadCountGuard(std::size_t count)
-    {
-        Parallelism::setThreadCount(count);
-    }
-    ~ThreadCountGuard() { Parallelism::setThreadCount(0); }
-};
 
 /** Fixed-seed nonlinear regression dataset (events -> IPC shape). */
 ml::Dataset

@@ -166,15 +166,6 @@ TEST(ZNormalize, ConstantSeriesBecomesZeros)
         EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST(ZNormalize, TimeSeriesWrapperKeepsMetadata)
-{
-    const TimeSeries series("X", {1.0, 2.0, 3.0}, 20.0);
-    const TimeSeries normalized = ts::zNormalized(series);
-    EXPECT_EQ(normalized.eventName(), "X");
-    EXPECT_DOUBLE_EQ(normalized.intervalMs(), 20.0);
-    EXPECT_NEAR(normalized.at(1), 0.0, 1e-9);
-}
-
 // --- perf text interop -------------------------------------------------------
 
 TEST(PerfText, RoundTripPreservesSeries)
@@ -421,18 +412,6 @@ TEST(StoreQuery, SummarizeEventUnknownFatal)
         FatalError);
     EXPECT_THROW(store::summarizeEventAcrossRuns(db, "nope", "EV_A"),
                  FatalError);
-}
-
-TEST(StoreQuery, RunsByExecTimeSorted)
-{
-    const auto db = populatedDb();
-    const auto runs = store::runsByExecTime(db, "sort");
-    ASSERT_EQ(runs.size(), 3u);
-    double previous = 0.0;
-    for (store::RunId id : runs) {
-        EXPECT_GE(db.runInfo(id).execTimeMs, previous);
-        previous = db.runInfo(id).execTimeMs;
-    }
 }
 
 } // namespace

@@ -117,11 +117,10 @@ TEST(Retry, BacksOffExponentiallyAndRecovers)
     options.baseDelayMs = 10.0;
     options.multiplier = 2.0;
     RecordingClock clock;
-    Rng rng(1);
 
     int calls = 0;
     const RetryResult result =
-        retryWithBackoff(options, clock, rng, [&]() -> Status {
+        retryWithBackoff(options, clock, [&]() -> Status {
             ++calls;
             return calls < 3 ? Status::transient("flaky dependency")
                              : Status::okStatus();
@@ -140,11 +139,10 @@ TEST(Retry, GivesUpAfterMaxAttempts)
     RetryOptions options;
     options.maxAttempts = 3;
     RecordingClock clock;
-    Rng rng(1);
 
     int calls = 0;
     const RetryResult result =
-        retryWithBackoff(options, clock, rng, [&]() -> Status {
+        retryWithBackoff(options, clock, [&]() -> Status {
             ++calls;
             return Status::transient("still down");
         });
@@ -159,11 +157,10 @@ TEST(Retry, NonTransientErrorsAreNotRetried)
     RetryOptions options;
     options.maxAttempts = 5;
     RecordingClock clock;
-    Rng rng(1);
 
     int calls = 0;
     const RetryResult result =
-        retryWithBackoff(options, clock, rng, [&]() -> Status {
+        retryWithBackoff(options, clock, [&]() -> Status {
             ++calls;
             return Status::parseError("garbage is garbage");
         });
@@ -173,23 +170,14 @@ TEST(Retry, NonTransientErrorsAreNotRetried)
     EXPECT_TRUE(clock.delays().empty());
 }
 
-TEST(Retry, DelayIsCappedAndJitterIsDeterministic)
+TEST(Retry, DelayIsCapped)
 {
     RetryOptions options;
     options.baseDelayMs = 100.0;
     options.multiplier = 10.0;
     options.maxDelayMs = 250.0;
-    Rng rng(1);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(options, 0, rng), 100.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(options, 1, rng), 250.0); // capped
-
-    options.jitterFraction = 0.5;
-    Rng rng_a(9), rng_b(9);
-    const double a = backoffDelayMs(options, 1, rng_a);
-    const double b = backoffDelayMs(options, 1, rng_b);
-    EXPECT_DOUBLE_EQ(a, b);
-    EXPECT_GE(a, 250.0 * 0.75);
-    EXPECT_LE(a, 250.0 * 1.25);
+    EXPECT_DOUBLE_EQ(backoffDelayMs(options, 0), 100.0);
+    EXPECT_DOUBLE_EQ(backoffDelayMs(options, 1), 250.0); // capped
 }
 
 // --- series corruption -------------------------------------------------------
@@ -531,13 +519,11 @@ TEST(Retry, DeadlineBudgetStopsBeforeSleepingPastIt)
     options.maxAttempts = 10;
     options.baseDelayMs = 40.0;
     options.multiplier = 2.0;
-    options.jitterFraction = 0.0;
     options.deadlineMs = 100.0;
 
     RecordingClock clock;
-    Rng rng(1);
     std::size_t calls = 0;
-    const auto result = retryWithBackoff(options, clock, rng, [&] {
+    const auto result = retryWithBackoff(options, clock, [&] {
         ++calls;
         return Status::transient("flaky");
     });
@@ -562,12 +548,10 @@ TEST(Retry, DeadlineZeroDisablesTheBudget)
     options.maxAttempts = 5;
     options.baseDelayMs = 1000.0;
     options.multiplier = 1.0;
-    options.jitterFraction = 0.0;
     options.deadlineMs = 0.0;
 
     RecordingClock clock;
-    Rng rng(1);
-    const auto result = retryWithBackoff(options, clock, rng, [&] {
+    const auto result = retryWithBackoff(options, clock, [&] {
         return Status::transient("flaky");
     });
     EXPECT_FALSE(result.deadlineExhausted);
@@ -580,13 +564,11 @@ TEST(Retry, SuccessWithinTheBudgetIsNotExhausted)
     RetryOptions options;
     options.maxAttempts = 5;
     options.baseDelayMs = 10.0;
-    options.jitterFraction = 0.0;
     options.deadlineMs = 100.0;
 
     RecordingClock clock;
-    Rng rng(1);
     std::size_t calls = 0;
-    const auto result = retryWithBackoff(options, clock, rng, [&] {
+    const auto result = retryWithBackoff(options, clock, [&] {
         return ++calls < 3 ? Status::transient("flaky")
                            : Status::okStatus();
     });

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the series statistics added for fleet analysis:
- * autocorrelation, the two-sample KS test and Spearman's rank
- * correlation.
+ * Tests for Spearman's rank correlation, which compares importance
+ * rankings across fleet profilings.
  */
 
 #include <gtest/gtest.h>
@@ -17,88 +16,6 @@ namespace {
 
 using namespace cminer;
 using cminer::util::Rng;
-
-// --- series stats ---------------------------------------------------------
-
-TEST(SeriesStats, AutocorrelationOfAr1MatchesRho)
-{
-    Rng rng(1);
-    std::vector<double> series(20000);
-    double x = 0.0;
-    const double rho = 0.7;
-    for (auto &v : series) {
-        x = rho * x + rng.gaussian();
-        v = x;
-    }
-    EXPECT_NEAR(stats::autocorrelation(series, 1), rho, 0.03);
-    EXPECT_NEAR(stats::autocorrelation(series, 2), rho * rho, 0.04);
-}
-
-TEST(SeriesStats, WhiteNoiseUncorrelated)
-{
-    Rng rng(2);
-    std::vector<double> series(20000);
-    for (auto &v : series)
-        v = rng.gaussian();
-    EXPECT_NEAR(stats::autocorrelation(series, 1), 0.0, 0.03);
-    EXPECT_NEAR(stats::autocorrelation(series, 10), 0.0, 0.03);
-}
-
-TEST(SeriesStats, ConstantSeriesZeroAutocorrelation)
-{
-    const std::vector<double> series(100, 5.0);
-    EXPECT_DOUBLE_EQ(stats::autocorrelation(series, 1), 0.0);
-}
-
-TEST(SeriesStats, AcfLengthAndDecay)
-{
-    Rng rng(3);
-    std::vector<double> series(5000);
-    double x = 0.0;
-    for (auto &v : series) {
-        x = 0.8 * x + rng.gaussian();
-        v = x;
-    }
-    const auto correlations = stats::acf(series, 10);
-    ASSERT_EQ(correlations.size(), 10u);
-    EXPECT_GT(correlations[0], correlations[7]);
-}
-
-TEST(KsTest, SameDistributionNotRejected)
-{
-    Rng rng(4);
-    std::vector<double> a(800);
-    std::vector<double> b(800);
-    for (auto &v : a)
-        v = rng.gaussian(10.0, 2.0);
-    for (auto &v : b)
-        v = rng.gaussian(10.0, 2.0);
-    const auto result = stats::ksTwoSample(a, b);
-    EXPECT_GT(result.pValue, 0.05);
-    EXPECT_LT(result.statistic, 0.1);
-}
-
-TEST(KsTest, ShiftedDistributionRejected)
-{
-    Rng rng(5);
-    std::vector<double> a(800);
-    std::vector<double> b(800);
-    for (auto &v : a)
-        v = rng.gaussian(10.0, 2.0);
-    for (auto &v : b)
-        v = rng.gaussian(12.0, 2.0);
-    const auto result = stats::ksTwoSample(a, b);
-    EXPECT_LT(result.pValue, 0.01);
-    EXPECT_GT(result.statistic, 0.2);
-}
-
-TEST(KsTest, IdenticalSamplesStatisticZero)
-{
-    const std::vector<double> a = {1, 2, 3, 4, 5};
-    const auto result = stats::ksTwoSample(a, a);
-    EXPECT_DOUBLE_EQ(result.statistic, 0.0);
-    EXPECT_NEAR(result.pValue, 1.0, 1e-6);
-}
 
 TEST(Spearman, PerfectAndReversedOrder)
 {

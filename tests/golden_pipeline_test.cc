@@ -28,6 +28,7 @@
 #include "core/counterminer.h"
 #include "pmu/event.h"
 #include "store/database.h"
+#include "support/test_support.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -38,18 +39,8 @@ namespace {
 using namespace cminer;
 using namespace cminer::core;
 using cminer::util::JsonWriter;
-using cminer::util::Parallelism;
 using cminer::util::Rng;
-
-/** Restores automatic thread-count resolution when a test ends. */
-struct ThreadCountGuard
-{
-    explicit ThreadCountGuard(std::size_t count)
-    {
-        Parallelism::setThreadCount(count);
-    }
-    ~ThreadCountGuard() { Parallelism::setThreadCount(0); }
-};
+using cminer::test::ThreadCountGuard;
 
 /** Exact bit pattern of a double as a C99 hexfloat string. */
 std::string

@@ -209,45 +209,10 @@ TEST(Eir, MapmModelPredictsWell)
     EXPECT_LT(100.0 * total_err / static_cast<double>(used), 12.0);
 }
 
-TEST(Eir, EarlyStopEndsLoopAfterPatience)
-{
-    store::Database db;
-    Rng rng(8);
-    const auto runs = collectRuns("wordcount", 2, rng, db);
-    const auto data = ImportanceRanker::buildDataset(
-        runs, pmu::EventCatalog::instance());
-
-    ImportanceOptions unlimited;
-    unlimited.minEvents = 96;
-    const auto full = ImportanceRanker(unlimited).run(data, rng);
-
-    ImportanceOptions impatient = unlimited;
-    impatient.earlyStopPatience = 2;
-    Rng rng2(8);
-    // Re-collect with the same seed path for a comparable dataset.
-    store::Database db2;
-    const auto runs2 = collectRuns("wordcount", 2, rng2, db2);
-    const auto data2 = ImportanceRanker::buildDataset(
-        runs2, pmu::EventCatalog::instance());
-    const auto stopped = ImportanceRanker(impatient).run(data2, rng2);
-
-    // The early-stopped loop never runs longer than the full loop and
-    // still reports a valid MAPM.
-    EXPECT_LE(stopped.curve.size(), full.curve.size());
-    EXPECT_FALSE(stopped.mapmFeatures.empty());
-    double min_error = stopped.curve.front().testErrorPercent;
-    for (const auto &point : stopped.curve)
-        min_error = std::min(min_error, point.testErrorPercent);
-    EXPECT_DOUBLE_EQ(stopped.mapmErrorPercent, min_error);
-}
-
 TEST(ImportanceOptions, ValidationAndDefaults)
 {
     ImportanceOptions options;
     EXPECT_EQ(options.dropPerIteration, 10u);
-    EXPECT_DOUBLE_EQ(options.trainFraction, 0.8);
-    // Paper: evaluate on one quarter of the training-set size -> test
-    // fraction 0.2 of the total when train is 0.8.
 }
 
 } // namespace

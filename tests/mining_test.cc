@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -39,6 +38,7 @@
 #include "serve/server.h"
 #include "serve/transport.h"
 #include "store/database.h"
+#include "support/test_support.h"
 #include "ts/dtw.h"
 #include "ts/lb_keogh.h"
 #include "ts/time_series.h"
@@ -51,51 +51,14 @@
 namespace {
 
 using namespace cminer;
-using cminer::util::Parallelism;
 using cminer::util::Rng;
+using cminer::test::MetricsGuard;
+using cminer::test::ThreadCountGuard;
+using cminer::test::readBytes;
+using cminer::test::tmpPath;
+using cminer::test::writeBytes;
 
 // --- helpers --------------------------------------------------------------
-
-std::string
-tmpPath(const std::string &name)
-{
-    return "/tmp/cminer_mining_test_" + name;
-}
-
-void
-writeBytes(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.is_open());
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string
-readBytes(const std::string &path)
-{
-    auto bytes = util::readFileBytes(path);
-    EXPECT_TRUE(bytes.ok()) << bytes.status().toString();
-    return bytes.ok() ? bytes.value() : "";
-}
-
-/** Restores automatic thread-count resolution when a test ends. */
-struct ThreadCountGuard
-{
-    explicit ThreadCountGuard(std::size_t count)
-    {
-        Parallelism::setThreadCount(count);
-    }
-    ~ThreadCountGuard() { Parallelism::setThreadCount(0); }
-};
-
-/** Installs a metrics registry for one test scope. */
-struct MetricsGuard
-{
-    MetricsGuard() { util::setGlobalMetrics(&registry); }
-    ~MetricsGuard() { util::setGlobalMetrics(nullptr); }
-    util::MetricsRegistry registry;
-};
 
 /**
  * Signatures drawn from `groups` distinct shape families (shifted

@@ -111,14 +111,6 @@ TEST(Metrics, RmseKnownValue)
     EXPECT_DOUBLE_EQ(rmse(actual, predicted), 1.0);
 }
 
-TEST(Metrics, R2PerfectAndBaseline)
-{
-    const std::vector<double> actual = {1.0, 2.0, 3.0, 4.0};
-    EXPECT_DOUBLE_EQ(r2(actual, actual), 1.0);
-    const std::vector<double> mean_pred(4, 2.5);
-    EXPECT_NEAR(r2(actual, mean_pred), 0.0, 1e-12);
-}
-
 TEST(Metrics, ResidualVarianceZeroForExactFit)
 {
     const std::vector<double> x = {1.0, 2.0, 3.0};

@@ -22,6 +22,7 @@
 #include "cli/cli.h"
 #include "core/cleaner.h"
 #include "core/perf_text.h"
+#include "support/test_support.h"
 #include "ts/time_series.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -35,6 +36,8 @@ using cminer::util::ManualClock;
 using cminer::util::MetricsRegistry;
 using cminer::util::Span;
 using cminer::util::Tracer;
+using cminer::test::MetricsGuard;
+using cminer::test::ThreadCountGuard;
 
 /** Installs a tracer for one test and always uninstalls it. */
 struct TracerGuard
@@ -44,26 +47,6 @@ struct TracerGuard
         util::setGlobalTracer(tracer);
     }
     ~TracerGuard() { util::setGlobalTracer(nullptr); }
-};
-
-/** Installs a metrics registry for one test and always uninstalls it. */
-struct MetricsGuard
-{
-    explicit MetricsGuard(MetricsRegistry *registry)
-    {
-        util::setGlobalMetrics(registry);
-    }
-    ~MetricsGuard() { util::setGlobalMetrics(nullptr); }
-};
-
-/** Restores automatic thread-count resolution when a test ends. */
-struct ThreadCountGuard
-{
-    explicit ThreadCountGuard(std::size_t count)
-    {
-        util::Parallelism::setThreadCount(count);
-    }
-    ~ThreadCountGuard() { util::Parallelism::setThreadCount(0); }
 };
 
 // --- a minimal JSON syntax checker --------------------------------------
@@ -462,8 +445,8 @@ TEST(Metrics, ParseRejectsDamagedDocuments)
 TEST(Metrics, InjectedClockDrivesDurations)
 {
     ManualClock clock;
-    MetricsRegistry registry(&clock);
-    MetricsGuard guard(&registry);
+    MetricsGuard metrics(&clock);
+    auto &registry = metrics.registry;
     clock.advance(100.0);
     EXPECT_DOUBLE_EQ(registry.nowMs(), 100.0);
     util::recordDuration("fit.tree_ms", 12.0);
@@ -485,8 +468,8 @@ TEST(Metrics, HelpersAreInertWhenDisabled)
 
 TEST(Metrics, CounterTotalsAreExactAcrossPoolWorkers)
 {
-    MetricsRegistry registry;
-    MetricsGuard guard(&registry);
+    MetricsGuard metrics;
+    auto &registry = metrics.registry;
     ThreadCountGuard threads(4);
 
     constexpr std::size_t n = 1000;
@@ -511,8 +494,8 @@ TEST(Metrics, CounterTotalsAreExactAcrossPoolWorkers)
 
 TEST(Metrics, IngestCountersReconcileWithIngestReport)
 {
-    MetricsRegistry registry;
-    MetricsGuard guard(&registry);
+    MetricsGuard metrics;
+    auto &registry = metrics.registry;
 
     const std::string damaged =
         "# time,counts,event\n"
@@ -558,8 +541,8 @@ TEST(Metrics, IngestCountersReconcileWithIngestReport)
 
 TEST(Metrics, IngestCountersDiffAgainstAnAccumulatingReport)
 {
-    MetricsRegistry registry;
-    MetricsGuard guard(&registry);
+    MetricsGuard metrics;
+    auto &registry = metrics.registry;
 
     const std::string good = "0.100000,100,cycles\n"
                              "0.200000,110,cycles\n";
@@ -578,8 +561,8 @@ TEST(Metrics, IngestCountersDiffAgainstAnAccumulatingReport)
 
 TEST(Metrics, CleanerCountersReconcileWithSummedReports)
 {
-    MetricsRegistry registry;
-    MetricsGuard guard(&registry);
+    MetricsGuard metrics;
+    auto &registry = metrics.registry;
     ThreadCountGuard threads(4);
 
     // Gaussian base with moderate outliers: extreme spikes inflate the
@@ -593,7 +576,7 @@ TEST(Metrics, CleanerCountersReconcileWithSummedReports)
             v = std::max(0.1, rng.gaussian(1000.0, 50.0));
         values[100] = 5000.0; // outlier
         values[300] = 6000.0; // outlier
-        values[7] = 0.0;      // missing (max >> trueZeroMax)
+        values[7] = 0.0;      // missing (max >> 0.01)
         values[11] = std::nan("");
         values[13] = -5.0;
         series.emplace_back("event" + std::to_string(s),

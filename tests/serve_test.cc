@@ -40,6 +40,7 @@
 #include "serve/socket.h"
 #include "serve/transport.h"
 #include "store/database.h"
+#include "support/test_support.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
 #include "util/retry.h"
@@ -52,40 +53,57 @@ namespace {
 
 using namespace cminer;
 namespace util = cminer::util;
-
-std::string
-tmpPath(const std::string &name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string
-readBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
+using cminer::test::MetricsGuard;
+using cminer::test::readBytes;
+using cminer::test::tmpPath;
 
 // --- in-memory transports ------------------------------------------------
 
 /** Serves frames from a byte string (what a client would have sent). */
 struct BytesFrameSource : serve::FrameSource
 {
-    explicit BytesFrameSource(std::string b)
-        : bytes(std::move(b))
+    explicit BytesFrameSource(std::string bytes)
+        : in(std::move(bytes))
     {}
 
     util::Status
     next(std::string &payload, bool &eof) override
     {
-        return serve::nextFrame(bytes, pos, payload, eof);
+        return frames.next(payload, eof);
     }
 
-    std::string bytes;
-    std::size_t pos = 0;
+    std::istringstream in;
+    serve::StreamFrameSource frames{in};
 };
+
+/** The first frame of `bytes` through pipe mode's decoder. */
+util::Status
+streamFrame(const std::string &bytes, std::string &payload, bool &eof)
+{
+    std::istringstream in(bytes);
+    return serve::StreamFrameSource(in).next(payload, eof);
+}
+
+/**
+ * The first frame of `bytes` through a socket connection's decoder,
+ * reading the write-closed end of a pipe that holds them.
+ */
+util::Status
+fdFrame(const std::string &bytes, std::string &payload, bool &eof)
+{
+    int fds[2];
+    if (::pipe(fds) != 0)
+        return util::Status::transient("pipe failed");
+    const bool written =
+        ::write(fds[1], bytes.data(), bytes.size()) ==
+        static_cast<ssize_t>(bytes.size());
+    ::close(fds[1]);
+    const auto status =
+        written ? serve::FdFrameSource(fds[0]).next(payload, eof)
+                : util::Status::transient("pipe write failed");
+    ::close(fds[0]);
+    return status;
+}
 
 /** Collects response payloads (already encoded, not framed). */
 struct CollectFrameSink : serve::FrameSink
@@ -205,17 +223,6 @@ toyPredict(std::uint64_t id, double seed_value,
                       10.0 + seed_value};
     return request;
 }
-
-/**
- * Installs a metrics registry for one test scope. Declare it before
- * the Server, so that the registry outlives the server's counts.
- */
-struct MetricsGuard
-{
-    MetricsGuard() { util::setGlobalMetrics(&registry); }
-    ~MetricsGuard() { util::setGlobalMetrics(nullptr); }
-    util::MetricsRegistry registry;
-};
 
 // --- protocol round-trips ------------------------------------------------
 
@@ -377,12 +384,13 @@ TEST(ServeProtocol, WireBytesMatchReferenceEncoding)
     std::string frame;
     ASSERT_TRUE(serve::appendFrame(frame, "xyz").ok());
     EXPECT_EQ(frame, std::string("\x03\x00\x00\x00xyz", 7));
-    std::size_t pos = 0;
+    BytesFrameSource source(frame);
     std::string payload;
     bool eof = false;
-    ASSERT_TRUE(serve::nextFrame(frame, pos, payload, eof).ok());
+    ASSERT_TRUE(source.next(payload, eof).ok());
     EXPECT_EQ(payload, "xyz");
-    EXPECT_EQ(pos, frame.size());
+    ASSERT_TRUE(source.next(payload, eof).ok());
+    EXPECT_TRUE(eof);
 }
 
 TEST(ServeProtocol, RejectsTrailingBytesAndUnknownType)
@@ -440,47 +448,47 @@ TEST(ServeProtocol, TruncationSweepEveryByteNeverCrashes)
     }
     ASSERT_TRUE(serve::decodeRequest(payload).ok());
 
-    // Every strict prefix of the framed bytes is a clean EOF (empty)
-    // or a torn-frame DataError — never a crash, never a bogus frame.
+    // Through both decoders the daemon runs, every strict prefix of
+    // the framed bytes is a clean EOF (empty) or a torn-frame DataError
+    // with no payload, never a crash or a bogus frame, and the whole
+    // frame is the payload.
     std::string framed;
     ASSERT_TRUE(serve::appendFrame(framed, payload).ok());
-    for (std::size_t len = 0; len < framed.size(); ++len) {
-        std::size_t pos = 0;
-        std::string out;
-        bool eof = false;
-        auto status =
-            serve::nextFrame(framed.substr(0, len), pos, out, eof);
-        if (len == 0) {
-            EXPECT_TRUE(status.ok());
-            EXPECT_TRUE(eof);
-        } else {
-            EXPECT_FALSE(status.ok()) << "prefix of " << len;
-            EXPECT_EQ(status.code(), util::StatusCode::DataError);
+    for (const auto decode : {streamFrame, fdFrame}) {
+        for (std::size_t len = 0; len <= framed.size(); ++len) {
+            std::string out = "stale";
+            bool eof = false;
+            const auto status = decode(framed.substr(0, len), out, eof);
+            if (len == 0) {
+                EXPECT_TRUE(status.ok()) << status.toString();
+                EXPECT_TRUE(eof);
+                EXPECT_TRUE(out.empty());
+            } else if (len < framed.size()) {
+                EXPECT_EQ(status.code(), util::StatusCode::DataError)
+                    << "prefix of " << len << ": " << status.toString();
+                EXPECT_FALSE(eof);
+                EXPECT_TRUE(out.empty()) << "prefix of " << len;
+            } else {
+                ASSERT_TRUE(status.ok()) << status.toString();
+                EXPECT_FALSE(eof);
+                EXPECT_EQ(out, payload);
+            }
         }
     }
-    std::size_t pos = 0;
-    std::string out;
-    bool eof = false;
-    ASSERT_TRUE(serve::nextFrame(framed, pos, out, eof).ok());
-    EXPECT_FALSE(eof);
-    EXPECT_EQ(out, payload);
 }
 
 TEST(ServeProtocol, OversizedFrameLengthRejectedBeforeAllocation)
 {
-    // Header declares 0xffffffff bytes; nextFrame must reject from the
-    // 4 header bytes alone instead of trying to copy 4 GiB.
+    // Header declares 0xffffffff bytes; both decoders must reject from
+    // the 4 header bytes alone instead of trying to read 4 GiB.
     const std::string header("\xff\xff\xff\xff", 4);
-    std::size_t pos = 0;
-    std::string payload;
-    bool eof = false;
-    auto status = serve::nextFrame(header, pos, payload, eof);
-    EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("max"), std::string::npos);
-
-    std::istringstream in(header);
-    serve::StreamFrameSource source(in);
-    EXPECT_FALSE(source.next(payload, eof).ok());
+    for (const auto decode : {streamFrame, fdFrame}) {
+        std::string payload;
+        bool eof = false;
+        const auto status = decode(header, payload, eof);
+        EXPECT_EQ(status.code(), util::StatusCode::DataError);
+        EXPECT_NE(status.message().find("max"), std::string::npos);
+    }
 
     // And the sink refuses to build such a frame in the first place.
     std::string big(serve::max_frame_bytes + 1, 'x');
@@ -1495,14 +1503,12 @@ TEST(ServeCli, FileModeServesFramesByteIdenticalToPredict)
     EXPECT_EQ(util::globalMetrics(), nullptr);
 
     // Decode the response file: three frames, matched by id.
-    const std::string response_bytes = readBytes(out_path);
+    BytesFrameSource response_frames(readBytes(out_path));
     std::map<std::uint64_t, serve::Response> responses;
-    std::size_t pos = 0;
     for (;;) {
         std::string payload;
         bool eof = false;
-        ASSERT_TRUE(
-            serve::nextFrame(response_bytes, pos, payload, eof).ok());
+        ASSERT_TRUE(response_frames.next(payload, eof).ok());
         if (eof)
             break;
         auto decoded = serve::decodeResponse(std::move(payload));

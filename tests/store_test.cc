@@ -32,6 +32,7 @@
 #include "store/database.h"
 #include "store/segment.h"
 #include "store/store_index.h"
+#include "support/test_support.h"
 #include "ts/time_series.h"
 #include "util/error.h"
 #include "util/status.h"
@@ -43,6 +44,8 @@ using namespace cminer::store;
 using cminer::ts::TimeSeries;
 using cminer::util::FatalError;
 using cminer::util::StatusCode;
+using cminer::test::readBytes;
+using cminer::test::writeBytes;
 
 // A copy would share one store behind two handles; moves are cheap.
 static_assert(!std::is_copy_constructible_v<Database>);
@@ -56,22 +59,6 @@ makeSeries()
 {
     return {TimeSeries("EV_A", {1.0, 2.0, 3.0}, 10.0),
             TimeSeries("EV_B", {4.0, 5.0, 6.0}, 10.0)};
-}
-
-std::string
-readBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
-void
-writeBytes(const std::string &path, std::string_view bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
 }
 
 /** Fresh scratch directory for one store test. */

@@ -23,22 +23,14 @@
 #include <utility>
 #include <vector>
 
+#include "support/test_support.h"
 #include "util/thread_pool.h"
 
 namespace {
 
 using cminer::util::Parallelism;
 using cminer::util::ThreadPool;
-
-/** Restores automatic thread-count resolution when a test ends. */
-struct ThreadCountGuard
-{
-    explicit ThreadCountGuard(std::size_t count)
-    {
-        Parallelism::setThreadCount(count);
-    }
-    ~ThreadCountGuard() { Parallelism::setThreadCount(0); }
-};
+using cminer::test::ThreadCountGuard;
 
 // --- parallelFor decomposition -------------------------------------------
 

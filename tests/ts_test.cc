@@ -19,7 +19,6 @@
 #include "ts/resample.h"
 #include "ts/time_series.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace {
 
@@ -48,18 +47,6 @@ TEST(TimeSeries, SetAndAppend)
     EXPECT_DOUBLE_EQ(series.at(0), 5.0);
     EXPECT_DOUBLE_EQ(series.at(1), 7.0);
     EXPECT_EQ(series.size(), 2u);
-}
-
-TEST(TimeSeries, Slice)
-{
-    TimeSeries series("X", {0, 1, 2, 3, 4, 5});
-    const TimeSeries mid = series.slice(2, 3);
-    ASSERT_EQ(mid.size(), 3u);
-    EXPECT_DOUBLE_EQ(mid.at(0), 2.0);
-    EXPECT_DOUBLE_EQ(mid.at(2), 4.0);
-    // Slice past the end truncates.
-    const TimeSeries tail = series.slice(4, 100);
-    EXPECT_EQ(tail.size(), 2u);
 }
 
 // --- DTW --------------------------------------------------------------
@@ -129,15 +116,6 @@ TEST(Dtw, TimeSeriesOverloadMatchesSpanOverload)
     const TimeSeries b("B", {1, 3, 3, 5});
     EXPECT_DOUBLE_EQ(dtwDistance(a, b),
                      dtwDistance(a.span(), b.span()));
-}
-
-TEST(Dtw, NormalizationDividesByPathLength)
-{
-    const std::vector<double> a = {1, 1, 1, 1};
-    const std::vector<double> b = {2, 2, 2, 2};
-    DtwOptions norm;
-    norm.normalizeByPathLength = true;
-    EXPECT_DOUBLE_EQ(dtwDistance(a, b, norm), 4.0 / 8.0);
 }
 
 TEST(Dtw, BandedDistanceUpperBoundsExact)
@@ -220,34 +198,25 @@ TEST(Dtw, DistanceMatchesFullMatrixBitForBit)
             pairs.push_back({as[k], bs[k]});
         }
         for (const double fraction : {0.0, 0.02, 0.1, 0.5, 1.0}) {
-            for (const bool normalize : {false, true}) {
-                DtwOptions options;
-                options.bandFraction = fraction;
-                options.normalizeByPathLength = normalize;
-                std::vector<std::uint64_t> full;
-                for (std::size_t k = 0; k < pair_count; ++k) {
-                    full.push_back(std::bit_cast<std::uint64_t>(
-                        dtwAlign(as[k], bs[k], options).distance));
-                    const double fused =
-                        dtwDistance(as[k], bs[k], options);
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(fused),
+            DtwOptions options;
+            options.bandFraction = fraction;
+            std::vector<std::uint64_t> full;
+            for (std::size_t k = 0; k < pair_count; ++k) {
+                full.push_back(std::bit_cast<std::uint64_t>(
+                    dtwAlign(as[k], bs[k], options).distance));
+                const double fused = dtwDistance(as[k], bs[k], options);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(fused), full[k])
+                    << "pair " << k << " " << n << "x" << m << " band "
+                    << fraction;
+            }
+            for (std::size_t batch = 1; batch <= pair_count; ++batch) {
+                std::vector<double> out(batch);
+                dtwDistances(std::span(pairs).first(batch), options, out);
+                for (std::size_t k = 0; k < batch; ++k)
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[k]),
                               full[k])
-                        << "pair " << k << " " << n << "x" << m
-                        << " band " << fraction << " normalize "
-                        << normalize;
-                }
-                for (std::size_t batch = 1; batch <= pair_count;
-                     ++batch) {
-                    std::vector<double> out(batch);
-                    dtwDistances(std::span(pairs).first(batch), options,
-                                 out);
-                    for (std::size_t k = 0; k < batch; ++k)
-                        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[k]),
-                                  full[k])
-                            << "batch " << batch << " pair " << k << " "
-                            << n << "x" << m << " band " << fraction
-                            << " normalize " << normalize;
-                }
+                        << "batch " << batch << " pair " << k << " " << n
+                        << "x" << m << " band " << fraction;
             }
         }
     }
@@ -392,41 +361,6 @@ TEST(LbKeoghEdge, LengthOneSeries)
     EXPECT_DOUBLE_EQ(lbKeogh(env, candidate), 3.0);
 }
 
-TEST(LbKeoghEdge, CheckedRejectsSizeMismatch)
-{
-    const std::vector<double> query = {1.0, 2.0, 3.0};
-    const Envelope env = computeEnvelope(query, 1);
-    const std::vector<double> shorter = {1.0, 2.0};
-    const auto result = lbKeoghChecked(env, shorter);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), cminer::util::StatusCode::DataError);
-}
-
-TEST(LbKeoghEdge, CheckedRejectsInvertedEnvelope)
-{
-    Envelope env;
-    env.lower = {0.0, 5.0};
-    env.upper = {1.0, 4.0}; // inverted at index 1
-    const std::vector<double> candidate = {0.5, 4.5};
-    const auto result = lbKeoghChecked(env, candidate);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), cminer::util::StatusCode::DataError);
-}
-
-TEST(LbKeoghEdge, CheckedMatchesUncheckedOnValidInput)
-{
-    Rng rng(7);
-    std::vector<double> query, candidate;
-    for (int i = 0; i < 64; ++i) {
-        query.push_back(rng.gaussian());
-        candidate.push_back(rng.gaussian());
-    }
-    const Envelope env = computeEnvelope(query, 5);
-    const auto checked = lbKeoghChecked(env, candidate);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_DOUBLE_EQ(checked.value(), lbKeogh(env, candidate));
-}
-
 // --- resample ---------------------------------------------------------
 
 TEST(Resample, IdentityWhenSameLength)
@@ -460,31 +394,6 @@ TEST(Resample, SingleValueBroadcasts)
     const auto out = resampleLinear(x, 5);
     for (double v : out)
         EXPECT_DOUBLE_EQ(v, 7.0);
-}
-
-TEST(Resample, TimeSeriesKeepsDuration)
-{
-    const TimeSeries series("X", {1, 2, 3, 4}, 10.0);
-    const TimeSeries resampled = resampleLinear(series, 8);
-    EXPECT_EQ(resampled.size(), 8u);
-    EXPECT_NEAR(resampled.durationMs(), series.durationMs(), 1e-9);
-    EXPECT_EQ(resampled.eventName(), "X");
-}
-
-TEST(Resample, DownsampleMeanGroups)
-{
-    const std::vector<double> x = {1, 3, 5, 7, 9};
-    const auto down = downsampleMean(x, 2);
-    ASSERT_EQ(down.size(), 3u);
-    EXPECT_DOUBLE_EQ(down[0], 2.0);
-    EXPECT_DOUBLE_EQ(down[1], 6.0);
-    EXPECT_DOUBLE_EQ(down[2], 9.0); // last partial group
-}
-
-TEST(Resample, DownsampleFactorOneIsIdentity)
-{
-    const std::vector<double> x = {1, 2, 3};
-    EXPECT_EQ(downsampleMean(x, 1), x);
 }
 
 // Regression: at (n=4, target=188) the interpolation position for the
@@ -538,22 +447,6 @@ TEST(Resample, OutputStaysWithinInputRangeAcrossLengthSweep)
     }
 }
 
-// durationMs must round-trip through any resample, including
-// upsampling past the source length — the interval shrinks, it never
-// drifts to zero or negative.
-TEST(Resample, TimeSeriesDurationRoundTripsWhenUpsampling)
-{
-    const TimeSeries series("X", {1, 2, 3, 4, 5}, 10.0);
-    ASSERT_DOUBLE_EQ(series.durationMs(), 50.0);
-    for (const std::size_t target : {7u, 23u, 128u, 4096u}) {
-        const TimeSeries resampled = resampleLinear(series, target);
-        EXPECT_EQ(resampled.size(), target);
-        EXPECT_GT(resampled.intervalMs(), 0.0);
-        EXPECT_NEAR(resampled.durationMs(), 50.0, 1e-9)
-            << "target " << target;
-    }
-}
-
 TEST(Resample, NonPositiveIntervalIsRejectedAtConstruction)
 {
     // A zero or negative sampling interval can never reach the
@@ -563,21 +456,12 @@ TEST(Resample, NonPositiveIntervalIsRejectedAtConstruction)
     EXPECT_DEATH(TimeSeries("X", {1, 2, 3}, -5.0), "assertion failed");
 }
 
-TEST(Resample, DownsampleFactorLargerThanSeriesYieldsOneMean)
-{
-    const std::vector<double> x = {2.0, 4.0, 9.0};
-    const auto down = downsampleMean(x, 10);
-    ASSERT_EQ(down.size(), 1u);
-    EXPECT_DOUBLE_EQ(down[0], 5.0);
-}
-
 TEST(ResampleEdge, PreconditionsPanic)
 {
     const std::vector<double> empty;
     const std::vector<double> some = {1.0, 2.0};
     EXPECT_DEATH(resampleLinear(empty, 4), "assertion failed");
     EXPECT_DEATH(resampleLinear(some, 0), "assertion failed");
-    EXPECT_DEATH(downsampleMean(some, 0), "assertion failed");
 }
 
 } // namespace

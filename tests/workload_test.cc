@@ -415,20 +415,6 @@ TEST(Colocate, CombinedIpcBelowHarmonicMeanUnderContention)
 
 // --- Cluster -----------------------------------------------------------
 
-TEST(Cluster, JobTimeIsSlowestNodePlusOverhead)
-{
-    const auto &bench = BenchmarkSuite::instance().byName("wordcount");
-    SimulatedCluster cluster;
-    Rng rng(12);
-    const JobResult result = cluster.runJob(bench, SparkConfig(), rng);
-    ASSERT_EQ(result.nodeTimesMs.size(), 3u);
-    double slowest = 0.0;
-    for (double t : result.nodeTimesMs)
-        slowest = std::max(slowest, t);
-    EXPECT_NEAR(result.execTimeMs, slowest + 350.0, 1e-9);
-    EXPECT_GT(result.profiledTrace.intervalCount(), 0u);
-}
-
 TEST(Cluster, TimeOnlyModelTracksConfigFactor)
 {
     const auto &bench = BenchmarkSuite::instance().byName("sort");
